@@ -9,10 +9,11 @@
 //   batch-T       BatchServer with T worker threads over per-worker
 //                 unbuffered pools (every fetch a zero-copy ReadRef)
 //
-// A second section times the *wire-serving* path (full validity-region
-// answers, encoded) on a clustered client population — many mobile
-// clients concentrated around a few hotspots — with the semantic answer
-// cache off and on, reporting the cache hit rate alongside q/s.
+// A second section times the *wire-serving* path of core::Server (full
+// validity-region answers, encoded; one thread) on a clustered client
+// population — many mobile clients concentrated around a few hotspots —
+// with the semantic answer cache off and on, reporting the cache hit
+// rate alongside q/s.
 //
 // Output: an aligned table plus one machine-readable "BENCH {...}" JSON
 // line with queries/second per configuration, the speedups over the
@@ -31,7 +32,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "cache/semantic_cache.h"
+#include "common/status.h"
 #include "core/batch_server.h"
+#include "core/server.h"
 #include "geometry/rect.h"
 #include "rtree/knn.h"
 #include "rtree/rtree.h"
@@ -199,14 +203,18 @@ Workload MakeClusteredWorkload(const bench::Workbench& wb, size_t clients) {
 // Wire-serving rounds: full validity answers, encoded — the load the
 // semantic cache absorbs. The cache persists across rounds (that is the
 // point: a steady-state server), so the measured rate is the warm rate.
-double WireQps(core::BatchServer& server, const Workload& w) {
+double WireQps(core::Server& server, const Workload& w) {
   return MeasureQps(w.total(), [&] {
-    auto nn = server.NnQueryBatchWire(w.nn);
-    asm volatile("" : : "r,m"(nn.data()) : "memory");
-    auto win = server.WindowQueryBatchWire(w.window);
-    asm volatile("" : : "r,m"(win.data()) : "memory");
-    auto rng = server.RangeQueryBatchWire(w.range);
-    asm volatile("" : : "r,m"(rng.data()) : "memory");
+    std::vector<StatusOr<std::vector<uint8_t>>> out;
+    out.reserve(w.total());
+    for (const auto& q : w.nn) out.push_back(server.NnQueryWire(q.q, q.k));
+    for (const auto& q : w.window) {
+      out.push_back(server.WindowQueryWire(q.focus, q.hx, q.hy));
+    }
+    for (const auto& q : w.range) {
+      out.push_back(server.RangeQueryWire(q.focus, q.radius));
+    }
+    asm volatile("" : : "r,m"(out.data()) : "memory");
   });
 }
 
@@ -257,8 +265,8 @@ int main() {
 
   // -- Wire serving with the semantic answer cache ------------------------
   // Clustered clients, full validity-region answers encoded to wire
-  // bytes; cache off vs on (one worker: on the one-core bench box any
-  // speedup must come from work avoided, not parallelism).
+  // bytes by core::Server; cache off vs on (one thread, so any speedup
+  // comes from work avoided, not parallelism).
   const Workload cw = MakeClusteredWorkload(wb, clients);
   bench::PrintTitle("Wire serving, clustered clients (semantic cache)");
   std::printf("%-14s %12s %10s %9s\n", "configuration", "queries/s",
@@ -267,20 +275,19 @@ int main() {
   double wire_qps[2] = {0.0, 0.0};
   double hit_rate = 0.0;
   for (int on = 0; on < 2; ++on) {
-    core::BatchServerOptions options;
-    options.num_threads = 1;
-    options.cache.enabled = on != 0;
-    options.cache.max_entries = 1u << 15;
-    options.cache.max_bytes = 32u << 20;
-    core::BatchServer server(wb.disk.get(), wb.tree->meta(),
-                             wb.dataset.universe, options);
+    core::Server server(wb.tree.get(), wb.dataset.universe);
+    if (on != 0) {
+      cache::CacheConfig config;
+      config.max_entries = 1u << 15;
+      config.max_bytes = 32u << 20;
+      server.EnableCache(config);
+    }
     wire_qps[on] = WireQps(server, cw);
     if (on != 0) {
-      const core::BatchPerfStats stats = server.perf_stats();
-      hit_rate = stats.cache.lookups == 0
-                     ? 0.0
-                     : static_cast<double>(stats.cache.hits) /
-                           static_cast<double>(stats.cache.lookups);
+      const cache::CacheStats stats = server.cache_stats();
+      hit_rate = stats.lookups == 0 ? 0.0
+                                    : static_cast<double>(stats.hits) /
+                                          static_cast<double>(stats.lookups);
     }
     std::printf("%-14s %12.0f %9.2fx %8.1f%%\n",
                 on != 0 ? "wire-cache" : "wire-nocache", wire_qps[on],

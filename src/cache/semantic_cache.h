@@ -5,12 +5,10 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/annotations.h"
 #include "geometry/disk_region.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
@@ -54,9 +52,8 @@
 //     serving layer cannot attribute to a point (stale entries are
 //     rejected and dropped lazily on lookup; Scrub() purges eagerly).
 //
-// SemanticCache itself is single-threaded (shared-nothing per worker,
-// like the BatchServer buffer pools); SharedSemanticCache below wraps it
-// in a mutex for the one-cache-per-server configuration.
+// SemanticCache is single-threaded: the serving pipeline
+// (core/serving_pipeline.h) uses its caches from the one serving thread.
 
 namespace lbsq::cache {
 
@@ -70,13 +67,10 @@ struct CacheConfig {
   size_t max_bytes = 4u << 20;
   // Uniform grid resolution (cells per axis) of the spatial index.
   size_t grid_resolution = 64;
-  // BatchServer: one mutex-protected cache shared by all workers (higher
-  // hit rate, one lock) instead of shared-nothing per-worker caches.
-  bool shared = false;
-  // Serving layers: invalidate per update via InvalidateAt when the tree
-  // can attribute its epoch advance to individual points (the RTree
-  // update log); false forces the epoch sledgehammer on every update —
-  // the pre-region-scoping behavior, kept as the differential twin.
+  // The serving pipeline's invalidation rule: kill per update via
+  // InvalidateAt when the change is attributed to points (the RTree
+  // update log, PartitionedServer's Insert/Delete); false forces the
+  // epoch sledgehammer — the pre-region-scoping differential twin.
   bool region_scoped = true;
 };
 
@@ -327,82 +321,6 @@ class SemanticCache {
   uint64_t rejected_ = 0;
   uint64_t hit_bytes_ = 0;
   uint64_t cell_compactions_ = 0;
-};
-
-// Mutex-protected wrapper for the shared-cache configuration: every
-// operation takes the lock, so any number of BatchServer workers may
-// look up and insert concurrently. The hot path still does only
-// O(cell occupancy) work under the lock.
-class SharedSemanticCache {
- public:
-  SharedSemanticCache(const geo::Rect& universe, const CacheConfig& config)
-      : cache_(universe, config) {}
-
-  SharedSemanticCache(const SharedSemanticCache&) = delete;
-  SharedSemanticCache& operator=(const SharedSemanticCache&) = delete;
-
-  bool LookupNn(const geo::Point& p, size_t k, std::vector<uint8_t>* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cache_.LookupNn(p, k, out);
-  }
-  bool LookupWindow(const geo::Point& p, double hx, double hy,
-                    std::vector<uint8_t>* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cache_.LookupWindow(p, hx, hy, out);
-  }
-  bool LookupRange(const geo::Point& p, double radius,
-                   std::vector<uint8_t>* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cache_.LookupRange(p, radius, out);
-  }
-
-  void InsertNn(size_t k, const geo::Rect& universe, const geo::Rect& bounds,
-                std::vector<geo::Point> answers,
-                std::vector<BisectorConstraint> constraints,
-                std::vector<uint8_t> bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.InsertNn(k, universe, bounds, std::move(answers),
-                    std::move(constraints), std::move(bytes));
-  }
-  void InsertWindow(double hx, double hy, geo::RectMinusBoxes region,
-                    std::vector<uint8_t> bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.InsertWindow(hx, hy, std::move(region), std::move(bytes));
-  }
-  void InsertRange(double radius, geo::DiskRegion region,
-                   std::vector<uint8_t> bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.InsertRange(radius, std::move(region), std::move(bytes));
-  }
-
-  size_t InvalidateAt(const geo::Point& p, UpdateKind kind) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cache_.InvalidateAt(p, kind);
-  }
-  void Invalidate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.Invalidate();
-  }
-  size_t Scrub() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cache_.Scrub();
-  }
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.Clear();
-  }
-  CacheStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cache_.stats();
-  }
-  void ResetCounters() {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.ResetCounters();
-  }
-
- private:
-  mutable std::mutex mu_;
-  SemanticCache cache_ LBSQ_GUARDED_BY(mu_);
 };
 
 }  // namespace lbsq::cache

@@ -5,7 +5,7 @@
 
 #include "common/check.h"
 #include "common/stats.h"
-#include "core/wire_format.h"
+#include "core/serving_pipeline.h"
 #include "geometry/rect.h"
 
 namespace lbsq::core {
@@ -25,36 +25,14 @@ double SecondsSince(Clock::time_point start) {
 // expensive validity queries.
 constexpr size_t kClaimChunk = 64;
 
-// Folds one cache's counters into the batch-wide aggregate (counters and
-// occupancy both sum across per-worker caches).
-void AccumulateCacheStats(const cache::CacheStats& in, cache::CacheStats* out) {
-  out->lookups += in.lookups;
-  out->hits += in.hits;
-  out->misses += in.misses;
-  out->inserts += in.inserts;
-  out->evictions += in.evictions;
-  out->epoch_invalidations += in.epoch_invalidations;
-  out->entries_invalidated_by_update += in.entries_invalidated_by_update;
-  out->stale_drops += in.stale_drops;
-  out->rejected += in.rejected;
-  out->hit_bytes += in.hit_bytes;
-  out->cell_compactions += in.cell_compactions;
-  out->entries += in.entries;
-  out->bytes += in.bytes;
-}
-
 }  // namespace
 
 BatchServer::BatchServer(storage::PageStore* disk,
                          const rtree::RTree::Meta& meta,
                          const geo::Rect& universe,
                          const BatchServerOptions& options)
-    : disk_(disk),
-      max_query_retries_(options.max_query_retries),
-      authority_(options.authoritative_tree),
-      cache_region_scoped_(options.cache.region_scoped) {
+    : disk_(disk), max_query_retries_(options.max_query_retries) {
   LBSQ_CHECK(options.num_threads >= 1);
-  if (authority_ != nullptr) authority_epoch_ = authority_->update_epoch();
   workers_.reserve(options.num_threads);
   for (size_t i = 0; i < options.num_threads; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -69,15 +47,7 @@ BatchServer::BatchServer(storage::PageStore* disk,
     // Drop the accesses made by the attach-time sanity check so the stats
     // reflect query work only.
     worker->tree->buffer().ResetCounters();
-    if (options.cache.enabled && !options.cache.shared) {
-      worker->cache =
-          std::make_unique<cache::SemanticCache>(universe, options.cache);
-    }
     workers_.push_back(std::move(worker));
-  }
-  if (options.cache.enabled && options.cache.shared) {
-    shared_cache_ =
-        std::make_unique<cache::SharedSemanticCache>(universe, options.cache);
   }
   disk_reads_baseline_ = disk_->read_count();
 
@@ -137,36 +107,6 @@ void BatchServer::WorkerLoop(size_t worker_index) {
   }
 }
 
-void BatchServer::SyncWithAuthority() {
-  if (authority_ == nullptr) return;
-  const uint64_t epoch = authority_->update_epoch();
-  if (epoch == authority_epoch_) return;
-  // The authority's pool is write-back: push its dirty pages into the
-  // shared store, then re-point every (idle) worker handle at the fresh
-  // meta with their possibly-stale buffers dropped.
-  authority_->buffer().FlushAll();
-  const rtree::RTree::Meta meta = authority_->meta();
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    worker->tree->Reattach(meta);
-  }
-  update_scratch_.clear();
-  if (cache_region_scoped_ &&
-      authority_->CopyUpdatesSince(authority_epoch_, &update_scratch_)) {
-    for (const rtree::UpdateRecord& u : update_scratch_) {
-      const cache::UpdateKind kind = u.kind == rtree::UpdateKind::kInsert
-                                         ? cache::UpdateKind::kInsert
-                                         : cache::UpdateKind::kDelete;
-      if (shared_cache_) shared_cache_->InvalidateAt(u.point, kind);
-      for (const std::unique_ptr<Worker>& worker : workers_) {
-        if (worker->cache) worker->cache->InvalidateAt(u.point, kind);
-      }
-    }
-  } else {
-    NotifyDataChanged();
-  }
-  authority_epoch_ = epoch;
-}
-
 void BatchServer::PublishJobLocked(
     size_t count, const std::function<void(Worker&, size_t)>& job) {
   LBSQ_ASSERT_HELD(mu_);
@@ -179,7 +119,6 @@ void BatchServer::PublishJobLocked(
 
 void BatchServer::RunBatch(size_t count,
                            const std::function<void(Worker&, size_t)>& job) {
-  SyncWithAuthority();
   const Clock::time_point start = Clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -204,21 +143,15 @@ void BatchServer::RunBatch(size_t count,
 
 template <typename Result, typename Fn>
 StatusOr<Result> BatchServer::ServeChecked(Worker& worker, const Fn& fn) {
-  for (size_t attempt = 0;; ++attempt) {
-    storage::PageStore::ClearReadError();
-    Result result = fn();
-    Status error = storage::PageStore::TakeReadError();
-    if (error.ok()) return result;
-    // The failed fetch may have parked a substituted zero page in this
-    // worker's buffer pool; purge it so neither the retry nor a later
-    // query claimed by this worker serves it as a cache hit.
-    worker.tree->buffer().Clear();
-    if (!IsRetryable(error) || attempt >= max_query_retries_) {
-      query_errors_.fetch_add(1, std::memory_order_relaxed);
-      return error;
-    }
-    query_retries_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Purging through the worker's own handle drops only its buffer pool,
+  // the one a failed fetch on this thread can have poisoned.
+  RTreeBackend backend(worker.tree.get());
+  CheckedCounts counts;
+  StatusOr<Result> result =
+      RunChecked<Result>(backend, max_query_retries_, &counts, fn);
+  query_errors_.fetch_add(counts.errors, std::memory_order_relaxed);
+  query_retries_.fetch_add(counts.retries, std::memory_order_relaxed);
+  return result;
 }
 
 std::vector<StatusOr<NnValidityResult>> BatchServer::NnQueryBatchChecked(
@@ -252,141 +185,6 @@ std::vector<StatusOr<RangeValidityResult>> BatchServer::RangeQueryBatchChecked(
     });
   });
   return out;
-}
-
-std::vector<StatusOr<std::vector<uint8_t>>> BatchServer::NnQueryBatchWire(
-    const std::vector<NnQuery>& queries) {
-  std::vector<StatusOr<std::vector<uint8_t>>> out(queries.size());
-  RunBatch(queries.size(), [this, &queries, &out](Worker& w, size_t i) {
-    const NnQuery& query = queries[i];
-    std::vector<uint8_t> bytes;
-    if (w.cache && w.cache->LookupNn(query.q, query.k, &bytes)) {
-      out[i] = std::move(bytes);
-      return;
-    }
-    if (shared_cache_ && shared_cache_->LookupNn(query.q, query.k, &bytes)) {
-      out[i] = std::move(bytes);
-      return;
-    }
-    StatusOr<NnValidityResult> result = ServeChecked<NnValidityResult>(
-        w, [&] { return w.nn_engine->Query(query.q, query.k); });
-    if (!result.ok()) {
-      out[i] = result.status();
-      return;
-    }
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeNnResult(*result);
-    if (!encoded.ok()) {
-      out[i] = encoded.status();
-      return;
-    }
-    if (w.cache || shared_cache_) {
-      std::vector<geo::Point> answers;
-      answers.reserve(result->answers().size());
-      for (const rtree::Neighbor& n : result->answers()) {
-        answers.push_back(n.entry.point);
-      }
-      std::vector<cache::BisectorConstraint> constraints;
-      constraints.reserve(result->influence_pairs().size());
-      for (const InfluencePair& pair : result->influence_pairs()) {
-        constraints.push_back({pair.displaced.point, pair.incoming.point});
-      }
-      const geo::Rect bounds = result->region().BoundingBox();
-      if (w.cache) {
-        w.cache->InsertNn(query.k, result->universe(), bounds,
-                          std::move(answers), std::move(constraints),
-                          *encoded);
-      } else {
-        shared_cache_->InsertNn(query.k, result->universe(), bounds,
-                                std::move(answers), std::move(constraints),
-                                *encoded);
-      }
-    }
-    out[i] = std::move(*encoded);
-  });
-  return out;
-}
-
-std::vector<StatusOr<std::vector<uint8_t>>> BatchServer::WindowQueryBatchWire(
-    const std::vector<WindowQuery>& queries) {
-  std::vector<StatusOr<std::vector<uint8_t>>> out(queries.size());
-  RunBatch(queries.size(), [this, &queries, &out](Worker& w, size_t i) {
-    const WindowQuery& query = queries[i];
-    std::vector<uint8_t> bytes;
-    if (w.cache && w.cache->LookupWindow(query.focus, query.hx, query.hy,
-                                         &bytes)) {
-      out[i] = std::move(bytes);
-      return;
-    }
-    if (shared_cache_ && shared_cache_->LookupWindow(query.focus, query.hx,
-                                                     query.hy, &bytes)) {
-      out[i] = std::move(bytes);
-      return;
-    }
-    StatusOr<WindowValidityResult> result =
-        ServeChecked<WindowValidityResult>(w, [&] {
-          return w.window_engine->Query(query.focus, query.hx, query.hy);
-        });
-    if (!result.ok()) {
-      out[i] = result.status();
-      return;
-    }
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeWindowResult(*result);
-    if (!encoded.ok()) {
-      out[i] = encoded.status();
-      return;
-    }
-    if (w.cache) {
-      w.cache->InsertWindow(query.hx, query.hy, result->region(), *encoded);
-    } else if (shared_cache_) {
-      shared_cache_->InsertWindow(query.hx, query.hy, result->region(),
-                                  *encoded);
-    }
-    out[i] = std::move(*encoded);
-  });
-  return out;
-}
-
-std::vector<StatusOr<std::vector<uint8_t>>> BatchServer::RangeQueryBatchWire(
-    const std::vector<RangeQuery>& queries) {
-  std::vector<StatusOr<std::vector<uint8_t>>> out(queries.size());
-  RunBatch(queries.size(), [this, &queries, &out](Worker& w, size_t i) {
-    const RangeQuery& query = queries[i];
-    std::vector<uint8_t> bytes;
-    if (w.cache && w.cache->LookupRange(query.focus, query.radius, &bytes)) {
-      out[i] = std::move(bytes);
-      return;
-    }
-    if (shared_cache_ &&
-        shared_cache_->LookupRange(query.focus, query.radius, &bytes)) {
-      out[i] = std::move(bytes);
-      return;
-    }
-    StatusOr<RangeValidityResult> result = ServeChecked<RangeValidityResult>(
-        w, [&] { return w.range_engine->Query(query.focus, query.radius); });
-    if (!result.ok()) {
-      out[i] = result.status();
-      return;
-    }
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeRangeResult(*result);
-    if (!encoded.ok()) {
-      out[i] = encoded.status();
-      return;
-    }
-    if (w.cache) {
-      w.cache->InsertRange(query.radius, result->region(), *encoded);
-    } else if (shared_cache_) {
-      shared_cache_->InsertRange(query.radius, result->region(), *encoded);
-    }
-    out[i] = std::move(*encoded);
-  });
-  return out;
-}
-
-void BatchServer::NotifyDataChanged() {
-  if (shared_cache_) shared_cache_->Invalidate();
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    if (worker->cache) worker->cache->Invalidate();
-  }
 }
 
 std::vector<NnValidityResult> BatchServer::NnQueryBatch(
@@ -478,10 +276,6 @@ BatchPerfStats BatchServer::perf_stats() const {
     stats.p99_us = Percentile(latencies_us_, 99.0);
     stats.max_us = Percentile(latencies_us_, 100.0);
   }
-  if (shared_cache_) AccumulateCacheStats(shared_cache_->stats(), &stats.cache);
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    if (worker->cache) AccumulateCacheStats(worker->cache->stats(), &stats.cache);
-  }
   return stats;
 }
 
@@ -495,9 +289,7 @@ void BatchServer::ResetPerfStats() {
   for (const std::unique_ptr<Worker>& worker : workers_) {
     worker->tree->buffer().ResetCounters();
     view_fetches_baseline_ += worker->tree->view_fetches();
-    if (worker->cache) worker->cache->ResetCounters();
   }
-  if (shared_cache_) shared_cache_->ResetCounters();
   disk_reads_baseline_ = disk_->read_count();
 }
 

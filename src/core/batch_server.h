@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/semantic_cache.h"
 #include "common/annotations.h"
 #include "common/status.h"
 #include "core/nn_validity.h"
@@ -45,6 +44,10 @@
 // page storage), NOT for FilePageManager (single scratch page); give
 // file-backed stores a per-worker buffer capacity > 0 so reads copy
 // through PageStore::Read instead.
+//
+// BatchServer serves plain and checked batches only: the wire path and
+// the semantic cache belong to the serving pipeline behind core::Server
+// (serving_pipeline.h).
 
 namespace lbsq::core {
 
@@ -63,24 +66,6 @@ struct BatchServerOptions {
   size_t max_query_retries = 2;
   // Must match the options the tree in the store was built with.
   rtree::RTree::Options tree_options;
-  // The handle that mutates the tree in the shared store, if any. When
-  // set, every batch begins by checking its update_epoch(): if the
-  // dataset changed since the last batch, the server flushes the
-  // authority's buffer, re-points every worker handle at the new meta
-  // (the root can move on a split) and invalidates the caches —
-  // region-scoped through the authority's update log when possible.
-  // Without it, mutations through other handles are invisible until an
-  // explicit NotifyDataChanged(), and even that cannot refresh worker
-  // handles whose meta went stale. Must outlive the server; mutate it
-  // only between batches (from the dispatcher thread).
-  rtree::RTree* authoritative_tree = nullptr;
-  // Semantic answer cache for the *QueryBatchWire methods. Disabled by
-  // default (batches of distinct clients see no reuse unless the workload
-  // clusters). With cache.shared == false each worker owns a private
-  // cache (shared-nothing, no lock on the hot path, like the buffer
-  // pools); with cache.shared == true all workers share one
-  // mutex-protected cache (higher hit rate, one lock per lookup/insert).
-  cache::CacheConfig cache = {.enabled = false};
 };
 
 // Cumulative performance counters since construction (or the last
@@ -98,9 +83,6 @@ struct BatchPerfStats {
   double p95_us = 0.0;
   double p99_us = 0.0;
   double max_us = 0.0;
-  // Semantic-cache counters, aggregated across the shared cache or every
-  // per-worker cache (all zero when the cache is disabled).
-  cache::CacheStats cache;
 };
 
 class BatchServer {
@@ -153,33 +135,6 @@ class BatchServer {
   [[nodiscard]] std::vector<StatusOr<RangeValidityResult>> RangeQueryBatchChecked(
       const std::vector<RangeQuery>& queries);
 
-  // Wire-serving batches: result i is the encoded wire answer for query i
-  // (or the Status of the read/encode failure that poisoned it). When the
-  // cache is enabled (options.cache), each query first consults the
-  // worker's cache (or the shared cache): a hit returns the stored bytes
-  // of a previous answer whose validity region contains the query point,
-  // with no engine or page-store work. Queries that miss produce bytes
-  // bit-identical to encoding the *QueryBatchChecked answer.
-  [[nodiscard]] std::vector<StatusOr<std::vector<uint8_t>>> NnQueryBatchWire(
-      const std::vector<NnQuery>& queries);
-  [[nodiscard]] std::vector<StatusOr<std::vector<uint8_t>>>
-  WindowQueryBatchWire(const std::vector<WindowQuery>& queries);
-  [[nodiscard]] std::vector<StatusOr<std::vector<uint8_t>>>
-  RangeQueryBatchWire(const std::vector<RangeQuery>& queries);
-
-  // Tells the server the dataset in the store changed (some other handle
-  // inserted or deleted): every cached answer becomes stale and will be
-  // rejected. Call from the dispatcher thread between batches, like the
-  // batch methods themselves. Note this cannot refresh the workers'
-  // private tree handles — prefer options.authoritative_tree, which
-  // syncs meta and caches automatically at every batch boundary.
-  void NotifyDataChanged();
-
-  bool cache_enabled() const {
-    return shared_cache_ != nullptr ||
-           (!workers_.empty() && workers_[0]->cache != nullptr);
-  }
-
   // Conventional batches without validity computation (the naive-client
   // load). Range results are sorted by object id.
   std::vector<std::vector<rtree::Neighbor>> PlainNnBatch(
@@ -202,16 +157,13 @@ class BatchServer {
     std::unique_ptr<NnValidityEngine> nn_engine;
     std::unique_ptr<WindowValidityEngine> window_engine;
     std::unique_ptr<RangeValidityEngine> range_engine;
-    // Private semantic cache (per-worker configuration only; null when
-    // the cache is disabled or shared).
-    std::unique_ptr<cache::SemanticCache> cache;
     std::vector<double> latencies_us;  // scratch, merged after each batch
   };
 
   void WorkerLoop(size_t worker_index);
 
-  // Serves one checked query on `worker`: brackets `fn` with the store's
-  // read-error channel, retrying transient faults within the budget.
+  // Serves one checked query on `worker` through the serving pipeline's
+  // retry loop (RunChecked), purging the worker's buffer pool.
   template <typename Result, typename Fn>
   StatusOr<Result> ServeChecked(Worker& worker, const Fn& fn);
 
@@ -225,13 +177,6 @@ class BatchServer {
   void RunBatch(size_t count,
                 const std::function<void(Worker&, size_t)>& job);
 
-  // Catches workers up with options.authoritative_tree (no-op without
-  // one): flushes the authority's write-back buffer, re-attaches worker
-  // handles to its meta and invalidates caches — per update point via
-  // the authority's update log when region scoping allows, else fully.
-  // Runs on the dispatcher thread while all workers are idle.
-  void SyncWithAuthority();
-
   // Publishes one batch to the worker pool: stores the job and its
   // size, rewinds the claim cursor, and bumps job_epoch_ — the bump
   // must be the workers' release point, which is why the caller must
@@ -244,14 +189,8 @@ class BatchServer {
   // Fixed at construction; workers only read them afterwards.
   storage::PageStore* disk_ LBSQ_EXCLUDED(const_after_init);
   size_t max_query_retries_ LBSQ_EXCLUDED(const_after_init);
-  rtree::RTree* authority_ LBSQ_EXCLUDED(const_after_init);
-  bool cache_region_scoped_ LBSQ_EXCLUDED(const_after_init);
   std::vector<std::unique_ptr<Worker>> workers_ LBSQ_EXCLUDED(const_after_init);
   std::vector<std::thread> threads_ LBSQ_EXCLUDED(const_after_init);
-  // Shared-cache configuration only (null otherwise). The pointer is
-  // fixed at construction; the object serializes access internally.
-  std::unique_ptr<cache::SharedSemanticCache> shared_cache_
-      LBSQ_EXCLUDED(const_after_init);
 
   // Checked-path counters; relaxed atomics, updated by workers mid-batch
   // and read between batches on the dispatcher thread.
@@ -279,11 +218,6 @@ class BatchServer {
 
   // Cumulative stats (mutated only between batches, on the dispatcher
   // thread). page-access baseline = store reads at construction / reset.
-  // authority_epoch_ = the authoritative tree's epoch workers last
-  // synced to (SyncWithAuthority).
-  uint64_t authority_epoch_ LBSQ_EXCLUDED(dispatcher_only) = 0;
-  std::vector<rtree::UpdateRecord> update_scratch_
-      LBSQ_EXCLUDED(dispatcher_only);
   uint64_t queries_ LBSQ_EXCLUDED(dispatcher_only) = 0;
   uint64_t disk_reads_baseline_ LBSQ_EXCLUDED(dispatcher_only) = 0;
   uint64_t view_fetches_baseline_ LBSQ_EXCLUDED(dispatcher_only) = 0;

@@ -4,112 +4,60 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "cache/semantic_cache.h"
 #include "common/status.h"
-#include "core/nn_validity.h"
-#include "core/range_validity.h"
-#include "core/window_validity.h"
-#include "core/wire_format.h"
-#include "core/wire_service.h"
+#include "core/serving_pipeline.h"
+#include "core/spatial_backend.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
+#include "rtree/knn.h"
 #include "rtree/rtree.h"
-#include "storage/page_store.h"
 
 // The server side of the mobile-computing scenario from the paper's
 // introduction: it owns the query engines over one spatial index and
 // serves location-based queries, counting how many it had to process.
 // Mobile clients (mobile_client.h) hit it only when they leave the
-// validity region of a previous answer.
+// validity region of a previous answer. The engines, the checked
+// (untrusted-storage) variants, the wire path and the semantic cache are
+// core::ServingPipeline's (serving_pipeline.h); this is its single-tree
+// shell.
 //
 // The *Checked query variants serve untrusted storage (a checksummed
 // and/or fault-injected page store): instead of trusting every page, they
 // bracket the query with the store's read-error channel, retry transient
 // faults a bounded number of times, and surface anything else as a
-// per-query Status — the process stays up when a page goes bad. The
-// plain variants keep zero overhead for trusted in-memory stores.
+// per-query Status — the process stays up when a page goes bad.
 //
 // The *QueryWire variants are the full serving path: they return the
 // encoded wire answer (what actually crosses the wireless link) and,
 // when EnableCache() has installed a semantic answer cache, consult it
-// first — a hit returns the already-encoded bytes of a previous answer
-// whose validity region contains the query point, without touching the
-// engines or the page store. The cache tracks dataset mutations
-// automatically: when the tree's update epoch advances, the server
-// replays the tree's update log through the cache's region-scoped
-// InvalidateAt (each insert/delete kills only the entries whose answer
-// it can change), falling back to a full epoch invalidation when the
-// updates cannot be attributed to points (BulkLoad, trimmed log, or
-// config.region_scoped == false).
+// first. The caller mutates the tree directly, so the cache catches up
+// at the top of each wire call: when the tree's update epoch has
+// advanced, the tree's update log goes through the pipeline's
+// invalidation rule (each insert/delete kills only the entries whose
+// answer it can change), falling back to a full epoch invalidation when
+// the log cannot attribute the change to points (BulkLoad, trimmed log).
 
 namespace lbsq::core {
 
-class Server : public WireService {
+class Server : public ServingPipeline {
  public:
   Server(rtree::RTree* tree, const geo::Rect& universe)
-      : tree_(tree),
-        nn_engine_(tree, universe),
-        window_engine_(tree, universe),
-        range_engine_(tree, universe) {}
-
-  // Location-based k-NN query.
-  NnValidityResult NnQuery(const geo::Point& q, size_t k) {
-    ++nn_queries_served_;
-    return nn_engine_.Query(q, k);
-  }
-
-  // Location-based window query (half-extents hx, hy around the focus).
-  WindowValidityResult WindowQuery(const geo::Point& focus, double hx,
-                                   double hy) {
-    ++window_queries_served_;
-    return window_engine_.Query(focus, hx, hy);
-  }
-
-  // Location-based range query ("everything within `radius` of me").
-  RangeValidityResult RangeQuery(const geo::Point& focus, double radius) {
-    ++range_queries_served_;
-    return range_engine_.Query(focus, radius);
-  }
-
-  // Checked variants for untrusted storage: an answer computed while the
-  // page store reported a read failure is never returned. Transient
-  // faults (kUnavailable) are retried up to max_query_retries() times
-  // with the buffer pool purged in between; persistent corruption
-  // (kDataLoss) comes back as the error itself.
-  [[nodiscard]] StatusOr<NnValidityResult> NnQueryChecked(const geo::Point& q, size_t k) {
-    ++nn_queries_served_;
-    return RunChecked<NnValidityResult>(
-        [&] { return nn_engine_.Query(q, k); });
-  }
-
-  [[nodiscard]] StatusOr<WindowValidityResult> WindowQueryChecked(const geo::Point& focus,
-                                                    double hx, double hy) {
-    ++window_queries_served_;
-    return RunChecked<WindowValidityResult>(
-        [&] { return window_engine_.Query(focus, hx, hy); });
-  }
-
-  [[nodiscard]] StatusOr<RangeValidityResult> RangeQueryChecked(const geo::Point& focus,
-                                                  double radius) {
-    ++range_queries_served_;
-    return RunChecked<RangeValidityResult>(
-        [&] { return range_engine_.Query(focus, radius); });
-  }
+      : Server(tree, std::make_unique<RTreeBackend>(tree), universe) {}
 
   // Conventional queries without validity-region computation — what a
   // pre-validity-region server would run for the naive re-query client.
   std::vector<rtree::Neighbor> PlainNnQuery(const geo::Point& q, size_t k) {
-    ++nn_queries_served_;
+    CountNnServed();
     return rtree::KnnBestFirst(*tree_, q, k);
   }
 
   std::vector<rtree::DataEntry> PlainWindowQuery(const geo::Point& focus,
                                                  double hx, double hy) {
-    ++window_queries_served_;
+    CountWindowServed();
     std::vector<rtree::DataEntry> out;
     tree_->WindowQuery(geo::Rect::Centered(focus, hx, hy), &out);
     return out;
@@ -121,100 +69,30 @@ class Server : public WireService {
   // answer cache consulted by the *QueryWire methods. Enabling starts
   // from an empty cache synced to the tree's current update epoch.
   void EnableCache(const cache::CacheConfig& config) {
-    cache_.reset();
-    if (config.enabled) {
-      cache_.emplace(universe(), config);
-      cache_data_epoch_ = tree_->update_epoch();
-    }
+    ServingPipeline::EnableCache(config);
+    cache_data_epoch_ = tree_->update_epoch();
   }
-  bool cache_enabled() const { return cache_.has_value(); }
-  cache::CacheStats cache_stats() const {
-    return cache_ ? cache_->stats() : cache::CacheStats{};
-  }
-  // True iff the last successful *QueryWire call was served from the
-  // cache (no engine or page-store work).
-  bool last_wire_from_cache() const override { return last_wire_from_cache_; }
 
-  // Immutable, reference-counted wire answer. The *QueryWireShared
-  // methods return the same payload object the cache stores, so the
-  // serving layer can queue it into an iovec without copying; the
-  // reference keeps the bytes alive even if the cache entry is evicted
-  // or invalidated while the reply is still in a socket's write queue.
-  using WireBytes = cache::CachedBytes;
-
-  // Full serving path for a k-NN query: returns the encoded wire answer.
-  // On a cache hit the stored payload of a previous answer whose
-  // validity region contains `q` is returned verbatim (no copy); on a
-  // miss the checked engine path runs and the fresh answer is cached
-  // under its region.
+  // Full serving path: the encoded wire answer, the same payload object
+  // the cache stores (zero-copy; the reference keeps the bytes alive even
+  // if the entry is evicted while the reply sits in a socket's write
+  // queue).
   [[nodiscard]] StatusOr<WireBytes> NnQueryWireShared(const geo::Point& q,
                                                       size_t k) override {
     SyncCacheEpoch();
-    last_wire_from_cache_ = false;
-    WireBytes bytes;
-    if (cache_ && cache_->LookupNnShared(q, k, &bytes)) {
-      ++nn_queries_served_;
-      last_wire_from_cache_ = true;
-      return bytes;
-    }
-    StatusOr<NnValidityResult> result = NnQueryChecked(q, k);
-    if (!result.ok()) return result.status();
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeNnResult(*result);
-    if (!encoded.ok()) return encoded.status();
-    WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-    if (cache_) {
-      std::vector<geo::Point> answers;
-      answers.reserve(result->answers().size());
-      for (const rtree::Neighbor& n : result->answers()) {
-        answers.push_back(n.entry.point);
-      }
-      std::vector<cache::BisectorConstraint> constraints;
-      constraints.reserve(result->influence_pairs().size());
-      for (const InfluencePair& pair : result->influence_pairs()) {
-        constraints.push_back({pair.displaced.point, pair.incoming.point});
-      }
-      cache_->InsertNn(k, result->universe(), result->region().BoundingBox(),
-                       std::move(answers), std::move(constraints), shared);
-    }
-    return shared;
+    return ServingPipeline::NnQueryWireShared(q, k);
   }
 
   [[nodiscard]] StatusOr<WireBytes> WindowQueryWireShared(
       const geo::Point& focus, double hx, double hy) override {
     SyncCacheEpoch();
-    last_wire_from_cache_ = false;
-    WireBytes bytes;
-    if (cache_ && cache_->LookupWindowShared(focus, hx, hy, &bytes)) {
-      ++window_queries_served_;
-      last_wire_from_cache_ = true;
-      return bytes;
-    }
-    StatusOr<WindowValidityResult> result = WindowQueryChecked(focus, hx, hy);
-    if (!result.ok()) return result.status();
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeWindowResult(*result);
-    if (!encoded.ok()) return encoded.status();
-    WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-    if (cache_) cache_->InsertWindow(hx, hy, result->region(), shared);
-    return shared;
+    return ServingPipeline::WindowQueryWireShared(focus, hx, hy);
   }
 
   [[nodiscard]] StatusOr<WireBytes> RangeQueryWireShared(
       const geo::Point& focus, double radius) override {
     SyncCacheEpoch();
-    last_wire_from_cache_ = false;
-    WireBytes bytes;
-    if (cache_ && cache_->LookupRangeShared(focus, radius, &bytes)) {
-      ++range_queries_served_;
-      last_wire_from_cache_ = true;
-      return bytes;
-    }
-    StatusOr<RangeValidityResult> result = RangeQueryChecked(focus, radius);
-    if (!result.ok()) return result.status();
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeRangeResult(*result);
-    if (!encoded.ok()) return encoded.status();
-    WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-    if (cache_) cache_->InsertRange(radius, result->region(), shared);
-    return shared;
+    return ServingPipeline::RangeQueryWireShared(focus, radius);
   }
 
   // Owned-buffer variants (copying) for callers that mutate or retain
@@ -240,90 +118,33 @@ class Server : public WireService {
     return **shared;
   }
 
-  size_t nn_queries_served() const { return nn_queries_served_; }
-  size_t window_queries_served() const { return window_queries_served_; }
-  size_t range_queries_served() const { return range_queries_served_; }
-
-  // Checked-path counters and retry budget.
-  size_t query_errors() const { return query_errors_; }
-  size_t query_retries() const { return query_retries_; }
-  size_t max_query_retries() const { return max_query_retries_; }
-  void set_max_query_retries(size_t n) { max_query_retries_ = n; }
-
-  NnValidityEngine& nn_engine() { return nn_engine_; }
-  WindowValidityEngine& window_engine() { return window_engine_; }
-  RangeValidityEngine& range_engine() { return range_engine_; }
-  const geo::Rect& universe() const override { return nn_engine_.universe(); }
-
-  ServiceInfo info() const override {
-    ServiceInfo out;
-    out.universe = universe();
-    out.points = tree_->size();
-    out.cache_enabled = cache_enabled();
-    return out;  // fragments empty: single-tree serving
-  }
-
  private:
-  // Catches the cache up with dataset mutations: when the tree's update
-  // epoch has advanced past the cache's synced epoch, replay the tree's
-  // update log through region-scoped invalidation (each update kills
-  // only the entries it can affect). Falls back to the epoch
-  // sledgehammer when region scoping is off or the log cannot attribute
-  // the gap to points (BulkLoad, trimmed log).
+  // The backend lives on the heap so the pipeline base can be built over
+  // it before this object's members are.
+  Server(rtree::RTree* tree, std::unique_ptr<RTreeBackend> backend,
+         const geo::Rect& universe)
+      : ServingPipeline(backend.get(), universe),
+        tree_(tree),
+        backend_(std::move(backend)) {}
+
+  // Catches the cache up with the mutations made through the tree since
+  // the last wire call.
   void SyncCacheEpoch() {
-    if (!cache_) return;
+    if (!cache_enabled()) return;
     const uint64_t tree_epoch = tree_->update_epoch();
     if (tree_epoch == cache_data_epoch_) return;
-    bool scoped = false;
-    if (cache_->config().region_scoped) {
-      update_scratch_.clear();
-      if (tree_->CopyUpdatesSince(cache_data_epoch_, &update_scratch_)) {
-        for (const rtree::UpdateRecord& u : update_scratch_) {
-          cache_->InvalidateAt(u.point, u.kind == rtree::UpdateKind::kInsert
-                                            ? cache::UpdateKind::kInsert
-                                            : cache::UpdateKind::kDelete);
-        }
-        scoped = true;
-      }
+    update_scratch_.clear();
+    if (tree_->CopyUpdatesSince(cache_data_epoch_, &update_scratch_)) {
+      ApplyUpdates(update_scratch_);
+    } else {
+      ApplyUnattributedChange();
     }
-    if (!scoped) cache_->Invalidate();
     cache_data_epoch_ = tree_epoch;
   }
 
-  template <typename Result, typename Fn>
-  StatusOr<Result> RunChecked(const Fn& fn) {
-    for (size_t attempt = 0;; ++attempt) {
-      storage::PageStore::ClearReadError();
-      Result result = fn();
-      Status error = storage::PageStore::TakeReadError();
-      if (error.ok()) return result;
-      // A failed fetch may have parked a substituted zero page in the
-      // buffer pool; purge it so neither the retry nor a later query
-      // silently serves it as a cache hit.
-      tree_->buffer().Clear();
-      if (!IsRetryable(error) || attempt >= max_query_retries_) {
-        ++query_errors_;
-        return error;
-      }
-      ++query_retries_;
-    }
-  }
-
   rtree::RTree* tree_;
-  NnValidityEngine nn_engine_;
-  WindowValidityEngine window_engine_;
-  RangeValidityEngine range_engine_;
-  size_t nn_queries_served_ = 0;
-  size_t window_queries_served_ = 0;
-  size_t range_queries_served_ = 0;
-  size_t query_errors_ = 0;
-  size_t query_retries_ = 0;
-  size_t max_query_retries_ = 2;
-
-  // Semantic answer cache for the wire path (absent = disabled).
-  std::optional<cache::SemanticCache> cache_;
+  std::unique_ptr<RTreeBackend> backend_;
   uint64_t cache_data_epoch_ = 0;
-  bool last_wire_from_cache_ = false;
   // Reused buffer for SyncCacheEpoch's update-log replay.
   std::vector<rtree::UpdateRecord> update_scratch_;
 };

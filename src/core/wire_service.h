@@ -46,7 +46,7 @@ class WireService {
   virtual const geo::Rect& universe() const = 0;
 
   // Full serving path: encoded wire answer, shared with the semantic
-  // cache (zero-copy on hits). See core::Server for the contract.
+  // cache (zero-copy on hits). See core::ServingPipeline for the contract.
   [[nodiscard]] virtual StatusOr<WireBytes> NnQueryWireShared(
       const geo::Point& q, size_t k) = 0;
   [[nodiscard]] virtual StatusOr<WireBytes> WindowQueryWireShared(

@@ -3,21 +3,30 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/wire_format.h"
-#include "storage/page_store.h"
 
 namespace lbsq::partition {
 
 PartitionedServer::PartitionedServer(std::vector<rtree::DataEntry> entries,
                                      const geo::Rect& universe,
                                      const PartitionedServerOptions& options)
-    : universe_(universe) {
+    : PartitionedServer(BuildShards(std::move(entries), universe, options),
+                        universe) {}
+
+PartitionedServer::PartitionedServer(Shards shards, const geo::Rect& universe)
+    : core::ServingPipeline(shards.router.get(), universe,
+                            &shards.router->layout()),
+      shards_(std::move(shards)) {}
+
+PartitionedServer::Shards PartitionedServer::BuildShards(
+    std::vector<rtree::DataEntry> entries, const geo::Rect& universe,
+    const PartitionedServerOptions& options) {
   LBSQ_CHECK(options.fragments >= 1);
   PartitionLayout layout(entries, universe, options.fragments);
   std::vector<std::vector<rtree::DataEntry>> buckets =
       PartitionEntries(layout, entries);
 
-  fragments_.reserve(options.fragments);
+  Shards shards;
+  shards.fragments.reserve(options.fragments);
   std::vector<rtree::RTree*> trees;
   trees.reserve(options.fragments);
   for (size_t f = 0; f < options.fragments; ++f) {
@@ -26,236 +35,23 @@ PartitionedServer::PartitionedServer(std::vector<rtree::DataEntry> entries,
         &fragment->pages, options.buffer_capacity, options.tree_options);
     fragment->tree->BulkLoad(std::move(buckets[f]), options.bulk_fill);
     trees.push_back(fragment->tree.get());
-    fragments_.push_back(std::move(fragment));
+    shards.fragments.push_back(std::move(fragment));
   }
-
-  router_.emplace(std::move(trees), std::move(layout));
-  nn_engine_.emplace(&*router_, universe_);
-  window_engine_.emplace(&*router_, universe_);
-  range_engine_.emplace(&*router_, universe_);
-}
-
-// -- Cache plumbing ---------------------------------------------------------
-
-void PartitionedServer::EnableCache(const cache::CacheConfig& config) {
-  for (const std::unique_ptr<Fragment>& fragment : fragments_) {
-    fragment->cache.reset();
-  }
-  boundary_cache_.reset();
-  if (!config.enabled) return;
-  // Every cache spans the full universe (lookup and invalidation
-  // geometry are universe-relative); ownership only decides which cache
-  // an entry lives in.
-  for (const std::unique_ptr<Fragment>& fragment : fragments_) {
-    fragment->cache.emplace(universe_, config);
-  }
-  boundary_cache_.emplace(universe_, config);
-}
-
-cache::CacheStats PartitionedServer::cache_stats() const {
-  cache::CacheStats total;
-  auto add = [&total](const std::optional<cache::SemanticCache>& c) {
-    if (!c) return;
-    const cache::CacheStats s = c->stats();
-    total.lookups += s.lookups;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.inserts += s.inserts;
-    total.evictions += s.evictions;
-    total.epoch_invalidations += s.epoch_invalidations;
-    total.entries_invalidated_by_update += s.entries_invalidated_by_update;
-    total.stale_drops += s.stale_drops;
-    total.rejected += s.rejected;
-    total.hit_bytes += s.hit_bytes;
-    total.cell_compactions += s.cell_compactions;
-    total.entries += s.entries;
-    total.bytes += s.bytes;
-  };
-  for (const std::unique_ptr<Fragment>& fragment : fragments_) {
-    add(fragment->cache);
-  }
-  add(boundary_cache_);
-  return total;
-}
-
-template <typename LookupFn>
-bool PartitionedServer::LookupShared(const geo::Point& p,
-                                     const LookupFn& lookup, WireBytes* out) {
-  if (!boundary_cache_) return false;
-  // An owned entry's validity region is contained in its kill footprint,
-  // which routes entirely to the owning fragment — so a query point the
-  // entry can serve routes there too. Everything else is in the
-  // boundary cache.
-  if (lookup(*fragments_[router_->OwnerOf(p)]->cache, out)) return true;
-  return lookup(*boundary_cache_, out);
-}
-
-template <typename InsertFn>
-void PartitionedServer::PlaceEntry(const geo::Point& q,
-                                   const geo::Rect& kill_footprint,
-                                   const InsertFn& insert) {
-  if (!boundary_cache_) return;
-  const size_t owner = router_->OwnerOf(q);
-  // Mirror the cache's own registration: it indexes the entry for
-  // invalidation under footprint ∩ universe (out-of-universe updates
-  // epoch-invalidate every cache, see Insert/Delete).
-  if (router_->layout().StrictlyOwns(owner,
-                                     kill_footprint.Intersection(universe_))) {
-    ++owner_cache_inserts_;
-    insert(*fragments_[owner]->cache);
-  } else {
-    ++boundary_cache_inserts_;
-    insert(*boundary_cache_);
-  }
-}
-
-// -- Wire serving path ------------------------------------------------------
-
-template <typename Result, typename Fn>
-StatusOr<Result> PartitionedServer::RunChecked(const Fn& fn) {
-  for (size_t attempt = 0;; ++attempt) {
-    storage::PageStore::ClearReadError();
-    Result result = fn();
-    Status error = storage::PageStore::TakeReadError();
-    if (error.ok()) return result;
-    // A failed fetch may have parked a substituted zero page in some
-    // fragment's buffer pool; purge them all so neither the retry nor a
-    // later query silently serves it.
-    router_->DropBuffers();
-    if (!IsRetryable(error) || attempt >= max_query_retries_) {
-      ++query_errors_;
-      return error;
-    }
-    ++query_retries_;
-  }
-}
-
-StatusOr<core::WireService::WireBytes> PartitionedServer::NnQueryWireShared(
-    const geo::Point& q, size_t k) {
-  last_wire_from_cache_ = false;
-  WireBytes bytes;
-  if (LookupShared(
-          q,
-          [&](cache::SemanticCache& c, WireBytes* out) {
-            return c.LookupNnShared(q, k, out);
-          },
-          &bytes)) {
-    ++nn_queries_served_;
-    last_wire_from_cache_ = true;
-    return bytes;
-  }
-  ++nn_queries_served_;
-  StatusOr<core::NnValidityResult> result =
-      RunChecked<core::NnValidityResult>([&] { return nn_engine_->Query(q, k); });
-  if (!result.ok()) return result.status();
-  StatusOr<std::vector<uint8_t>> encoded = core::wire::EncodeNnResult(*result);
-  if (!encoded.ok()) return encoded.status();
-  WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-  if (boundary_cache_) {
-    std::vector<geo::Point> answers;
-    answers.reserve(result->answers().size());
-    for (const rtree::Neighbor& n : result->answers()) {
-      answers.push_back(n.entry.point);
-    }
-    std::vector<cache::BisectorConstraint> constraints;
-    constraints.reserve(result->influence_pairs().size());
-    for (const core::InfluencePair& pair : result->influence_pairs()) {
-      constraints.push_back({pair.displaced.point, pair.incoming.point});
-    }
-    // One shared footprint definition with the cache's own registration
-    // (under-filled rule included): an under-filled answer's footprint is
-    // the universe → boundary cache unless K == 1.
-    const geo::Rect bounds =
-        result->region().BoundingBox().Intersection(universe_);
-    const geo::Rect footprint = cache::SemanticCache::NnKillFootprint(
-        k, universe_, bounds, answers, constraints);
-    PlaceEntry(q, footprint, [&](cache::SemanticCache& c) {
-      c.InsertNn(k, result->universe(), result->region().BoundingBox(),
-                 std::move(answers), std::move(constraints), shared);
-    });
-  }
-  return shared;
-}
-
-StatusOr<core::WireService::WireBytes> PartitionedServer::WindowQueryWireShared(
-    const geo::Point& focus, double hx, double hy) {
-  last_wire_from_cache_ = false;
-  WireBytes bytes;
-  if (LookupShared(
-          focus,
-          [&](cache::SemanticCache& c, WireBytes* out) {
-            return c.LookupWindowShared(focus, hx, hy, out);
-          },
-          &bytes)) {
-    ++window_queries_served_;
-    last_wire_from_cache_ = true;
-    return bytes;
-  }
-  ++window_queries_served_;
-  StatusOr<core::WindowValidityResult> result =
-      RunChecked<core::WindowValidityResult>(
-          [&] { return window_engine_->Query(focus, hx, hy); });
-  if (!result.ok()) return result.status();
-  StatusOr<std::vector<uint8_t>> encoded = core::wire::EncodeWindowResult(*result);
-  if (!encoded.ok()) return encoded.status();
-  WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-  if (boundary_cache_) {
-    const geo::Rect footprint = cache::SemanticCache::WindowKillFootprint(
-        result->region().base(), hx, hy);
-    PlaceEntry(focus, footprint, [&](cache::SemanticCache& c) {
-      c.InsertWindow(hx, hy, result->region(), shared);
-    });
-  }
-  return shared;
-}
-
-StatusOr<core::WireService::WireBytes> PartitionedServer::RangeQueryWireShared(
-    const geo::Point& focus, double radius) {
-  last_wire_from_cache_ = false;
-  WireBytes bytes;
-  if (LookupShared(
-          focus,
-          [&](cache::SemanticCache& c, WireBytes* out) {
-            return c.LookupRangeShared(focus, radius, out);
-          },
-          &bytes)) {
-    ++range_queries_served_;
-    last_wire_from_cache_ = true;
-    return bytes;
-  }
-  ++range_queries_served_;
-  StatusOr<core::RangeValidityResult> result =
-      RunChecked<core::RangeValidityResult>(
-          [&] { return range_engine_->Query(focus, radius); });
-  if (!result.ok()) return result.status();
-  StatusOr<std::vector<uint8_t>> encoded = core::wire::EncodeRangeResult(*result);
-  if (!encoded.ok()) return encoded.status();
-  WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-  if (boundary_cache_) {
-    const geo::Rect footprint = cache::SemanticCache::RangeKillFootprint(
-        result->region().bounds(), radius);
-    PlaceEntry(focus, footprint, [&](cache::SemanticCache& c) {
-      c.InsertRange(radius, result->region(), shared);
-    });
-  }
-  return shared;
+  shards.router =
+      std::make_unique<FragmentRouter>(std::move(trees), std::move(layout));
+  return shards;
 }
 
 core::ServiceInfo PartitionedServer::info() const {
-  core::ServiceInfo out;
-  out.universe = universe_;
-  out.points = router_->size();
-  out.cache_enabled = cache_enabled();
-  out.fragments.reserve(fragments_.size());
-  for (size_t f = 0; f < fragments_.size(); ++f) {
+  core::ServiceInfo out = core::ServingPipeline::info();
+  out.fragments.reserve(shards_.fragments.size());
+  for (size_t f = 0; f < shards_.fragments.size(); ++f) {
     core::FragmentStat stat;
-    stat.mbr = router_->FragmentExtent(f);
-    stat.points = router_->FragmentSize(f);
-    if (fragments_[f]->cache) {
-      const cache::CacheStats s = fragments_[f]->cache->stats();
-      stat.cache_lookups = s.lookups;
-      stat.cache_hits = s.hits;
-    }
+    stat.mbr = shards_.router->FragmentExtent(f);
+    stat.points = shards_.router->FragmentSize(f);
+    const cache::CacheStats s = owner_cache_stats(f);
+    stat.cache_lookups = s.lookups;
+    stat.cache_hits = s.hits;
     out.fragments.push_back(stat);
   }
   return out;
@@ -264,41 +60,19 @@ core::ServiceInfo PartitionedServer::info() const {
 // -- Updates ----------------------------------------------------------------
 
 void PartitionedServer::Insert(const geo::Point& p, rtree::ObjectId id) {
-  const size_t owner = router_->OwnerOf(p);
-  fragments_[owner]->tree->Insert(p, id);
-  router_->RefreshFragment(owner);
-  if (!boundary_cache_) return;
-  if (!universe_.Contains(p)) {
-    // No cache can scope an out-of-universe update; epoch-invalidate
-    // them all (matches the single cache's own fallback).
-    for (const std::unique_ptr<Fragment>& fragment : fragments_) {
-      fragment->cache->Invalidate();
-    }
-    boundary_cache_->Invalidate();
-    return;
-  }
-  owner_cache_kills_ +=
-      fragments_[owner]->cache->InvalidateAt(p, cache::UpdateKind::kInsert);
-  boundary_cache_kills_ +=
-      boundary_cache_->InvalidateAt(p, cache::UpdateKind::kInsert);
+  const size_t owner = shards_.router->OwnerOf(p);
+  shards_.fragments[owner]->tree->Insert(p, id);
+  shards_.router->RefreshFragment(owner);
+  const rtree::UpdateRecord update{p, rtree::UpdateKind::kInsert};
+  ApplyUpdates({&update, 1});
 }
 
 bool PartitionedServer::Delete(const geo::Point& p, rtree::ObjectId id) {
-  const size_t owner = router_->OwnerOf(p);
-  if (!fragments_[owner]->tree->Delete(p, id)) return false;
-  router_->RefreshFragment(owner);
-  if (!boundary_cache_) return true;
-  if (!universe_.Contains(p)) {
-    for (const std::unique_ptr<Fragment>& fragment : fragments_) {
-      fragment->cache->Invalidate();
-    }
-    boundary_cache_->Invalidate();
-    return true;
-  }
-  owner_cache_kills_ +=
-      fragments_[owner]->cache->InvalidateAt(p, cache::UpdateKind::kDelete);
-  boundary_cache_kills_ +=
-      boundary_cache_->InvalidateAt(p, cache::UpdateKind::kDelete);
+  const size_t owner = shards_.router->OwnerOf(p);
+  if (!shards_.fragments[owner]->tree->Delete(p, id)) return false;
+  shards_.router->RefreshFragment(owner);
+  const rtree::UpdateRecord update{p, rtree::UpdateKind::kDelete};
+  ApplyUpdates({&update, 1});
   return true;
 }
 

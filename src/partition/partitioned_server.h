@@ -2,16 +2,10 @@
 #define LBSQ_PARTITION_PARTITIONED_SERVER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "cache/semantic_cache.h"
-#include "common/status.h"
-#include "core/nn_validity.h"
-#include "core/range_validity.h"
-#include "core/window_validity.h"
+#include "core/serving_pipeline.h"
 #include "core/wire_service.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
@@ -40,6 +34,10 @@
 // probe owner(q) then the boundary cache; an entry's validity region is
 // contained in its kill footprint, so any query point the entry can
 // serve routes to the fragment holding it.
+//
+// Serving runs through core::ServingPipeline, as core::Server's does;
+// this shell supplies the router as the backend, the layout as the cache
+// ownership, and its own Insert/Delete as the update source.
 
 namespace lbsq::partition {
 
@@ -54,7 +52,7 @@ struct PartitionedServerOptions {
   size_t buffer_capacity = 256;
 };
 
-class PartitionedServer final : public core::WireService {
+class PartitionedServer final : public core::ServingPipeline {
  public:
   // Bulk-loads `entries` into the fragments of an STR layout derived
   // from them over `universe`.
@@ -62,109 +60,45 @@ class PartitionedServer final : public core::WireService {
                     const geo::Rect& universe,
                     const PartitionedServerOptions& options = {});
 
-  PartitionedServer(const PartitionedServer&) = delete;
-  PartitionedServer& operator=(const PartitionedServer&) = delete;
-
-  // -- core::WireService ----------------------------------------------------
-
-  const geo::Rect& universe() const override { return universe_; }
-  [[nodiscard]] StatusOr<WireBytes> NnQueryWireShared(const geo::Point& q,
-                                                      size_t k) override;
-  [[nodiscard]] StatusOr<WireBytes> WindowQueryWireShared(
-      const geo::Point& focus, double hx, double hy) override;
-  [[nodiscard]] StatusOr<WireBytes> RangeQueryWireShared(
-      const geo::Point& focus, double radius) override;
+  // Adds one FragmentStat per fragment to the pipeline's info.
   core::ServiceInfo info() const override;
 
   // -- Updates --------------------------------------------------------------
-  // Routed to the owning fragment; only that fragment's cache (plus the
-  // boundary cache) sees the region-scoped InvalidateAt.
+  // Routed to the owning fragment, then through the pipeline's
+  // invalidation rule: only that fragment's cache (plus the boundary
+  // cache) sees the region-scoped kill.
 
   void Insert(const geo::Point& p, rtree::ObjectId id);
   bool Delete(const geo::Point& p, rtree::ObjectId id);
 
-  // -- Semantic cache -------------------------------------------------------
-
-  // Installs (or removes) the per-fragment caches and the boundary
-  // cache. Every cache gets the full configured budget: the fragment
-  // caches partition the entry space by ownership, they do not split one
-  // budget.
-  void EnableCache(const cache::CacheConfig& config);
-  bool cache_enabled() const { return boundary_cache_.has_value(); }
-  // Aggregate over the K fragment caches plus the boundary cache.
-  cache::CacheStats cache_stats() const;
-  bool last_wire_from_cache() const override { return last_wire_from_cache_; }
-
   // -- Introspection --------------------------------------------------------
 
-  size_t num_fragments() const { return fragments_.size(); }
-  const PartitionLayout& layout() const { return router_->layout(); }
-  FragmentRouter& router() { return *router_; }
-  size_t size() const { return router_->size(); }
-
-  size_t nn_queries_served() const { return nn_queries_served_; }
-  size_t window_queries_served() const { return window_queries_served_; }
-  size_t range_queries_served() const { return range_queries_served_; }
-  size_t query_errors() const { return query_errors_; }
-  size_t query_retries() const { return query_retries_; }
-  void set_max_query_retries(size_t n) { max_query_retries_ = n; }
-
-  // Cache-placement and blast-radius telemetry: entries inserted into a
-  // fragment cache vs. the boundary cache, and entries killed by updates
-  // in each.
-  size_t owner_cache_inserts() const { return owner_cache_inserts_; }
-  size_t boundary_cache_inserts() const { return boundary_cache_inserts_; }
-  size_t owner_cache_kills() const { return owner_cache_kills_; }
-  size_t boundary_cache_kills() const { return boundary_cache_kills_; }
+  size_t num_fragments() const { return shards_.fragments.size(); }
+  const PartitionLayout& layout() const { return shards_.router->layout(); }
+  FragmentRouter& router() { return *shards_.router; }
+  size_t size() const { return shards_.router->size(); }
 
  private:
-  // One spatial shard: its page store, tree, and ownership-scoped cache.
+  // One spatial shard: its page store and tree.
   struct Fragment {
     storage::PageManager pages;
     std::unique_ptr<rtree::RTree> tree;
-    std::optional<cache::SemanticCache> cache;
   };
+  // The fragments and the router over them. The engines run over the
+  // router, which they cannot tell from one tree, and its layout places
+  // the cache entries. Built before the pipeline base, which points at
+  // the router; the router lives on the heap, so moving the shards into
+  // shards_ keeps that pointer valid.
+  struct Shards {
+    std::vector<std::unique_ptr<Fragment>> fragments;
+    std::unique_ptr<FragmentRouter> router;
+  };
+  static Shards BuildShards(std::vector<rtree::DataEntry> entries,
+                            const geo::Rect& universe,
+                            const PartitionedServerOptions& options);
+  PartitionedServer(Shards shards, const geo::Rect& universe);
 
-  // Probes owner(p)'s cache then the boundary cache.
-  template <typename LookupFn>
-  bool LookupShared(const geo::Point& p, const LookupFn& lookup,
-                    WireBytes* out);
-
-  // Inserts the fresh entry into owner(q)'s cache iff its kill footprint
-  // (clipped to the universe) routes entirely to that fragment, else the
-  // boundary cache.
-  template <typename InsertFn>
-  void PlaceEntry(const geo::Point& q, const geo::Rect& kill_footprint,
-                  const InsertFn& insert);
-
-  // Checked-query bracket (mirrors core::Server::RunChecked): retries
-  // transient page-store faults with every fragment's buffers purged.
-  template <typename Result, typename Fn>
-  StatusOr<Result> RunChecked(const Fn& fn);
-
-  geo::Rect universe_;
-  std::vector<std::unique_ptr<Fragment>> fragments_;
-  std::optional<FragmentRouter> router_;
-  // Engines run over the router; they cannot tell it from one tree.
-  std::optional<core::NnValidityEngine> nn_engine_;
-  std::optional<core::WindowValidityEngine> window_engine_;
-  std::optional<core::RangeValidityEngine> range_engine_;
-
-  // Entries whose kill footprint straddles a fragment boundary (and NN
-  // answers smaller than k, whose footprint is the whole universe).
-  std::optional<cache::SemanticCache> boundary_cache_;
-
-  size_t nn_queries_served_ = 0;
-  size_t window_queries_served_ = 0;
-  size_t range_queries_served_ = 0;
-  size_t query_errors_ = 0;
-  size_t query_retries_ = 0;
-  size_t max_query_retries_ = 2;
-  bool last_wire_from_cache_ = false;
-  size_t owner_cache_inserts_ = 0;
-  size_t boundary_cache_inserts_ = 0;
-  size_t owner_cache_kills_ = 0;
-  size_t boundary_cache_kills_ = 0;
+  Shards shards_;
 };
 
 }  // namespace lbsq::partition

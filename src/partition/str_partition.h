@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/serving_pipeline.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
 #include "rtree/rtree.h"
@@ -22,7 +23,7 @@
 
 namespace lbsq::partition {
 
-class PartitionLayout {
+class PartitionLayout final : public core::CacheOwnership {
  public:
   // Tiles `universe` into `fragments` ownership rectangles using the
   // STR order of `entries` to place the interior boundaries. An empty
@@ -30,11 +31,11 @@ class PartitionLayout {
   PartitionLayout(const std::vector<rtree::DataEntry>& entries,
                   const geo::Rect& universe, size_t fragments);
 
-  size_t num_fragments() const { return ownership_.size(); }
+  size_t num_fragments() const override { return ownership_.size(); }
   const geo::Rect& universe() const { return universe_; }
 
   // The unique fragment owning point p (p inside the universe).
-  size_t OwnerOf(const geo::Point& p) const;
+  size_t OwnerOf(const geo::Point& p) const override;
 
   // Closed ownership rectangle of the fragment; the tiles cover the
   // universe and overlap only on shared (measure-zero) edges.
@@ -49,7 +50,7 @@ class PartitionLayout {
   // neighbor. This is the test the partitioned cache placement uses to
   // guarantee an entry's whole kill footprint invalidates through one
   // fragment.
-  bool StrictlyOwns(size_t fragment, const geo::Rect& r) const;
+  bool StrictlyOwns(size_t fragment, const geo::Rect& r) const override;
 
  private:
   size_t SlabOf(double x) const;

@@ -195,19 +195,6 @@ bool RTree::CopyUpdatesSince(uint64_t since_epoch,
   return true;
 }
 
-void RTree::Reattach(const Meta& meta) {
-  LBSQ_CHECK(meta.root != storage::kInvalidPageId);
-  // Drop buffered pages before adopting the new root: any page may have
-  // been rewritten by the mutating handle. The buffer is clean for a
-  // read-only handle, so Clear() writes nothing back.
-  buffer_.Clear();
-  root_ = meta.root;
-  root_level_ = meta.root_level;
-  size_ = meta.size;
-  num_nodes_ = meta.num_nodes;
-  bbox_valid_ = false;  // re-derived on the next bounding_box() call
-}
-
 void RTree::Insert(const geo::Point& p, ObjectId id) {
   if (bbox_valid_) bbox_ = bbox_.ExpandedToInclude(p);
   reinserted_levels_.assign(static_cast<size_t>(root_level_) + 2, false);

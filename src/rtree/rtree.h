@@ -144,13 +144,6 @@ class RTree {
   [[nodiscard]] bool CopyUpdatesSince(uint64_t since_epoch,
                                       std::vector<UpdateRecord>* out) const;
 
-  // Re-points this read-only handle at the current state of a tree that
-  // another handle over the same store mutated in place (same options):
-  // adopts `meta` and drops every buffered page, which may be stale.
-  // The handle's own counters and update epoch are unchanged. The
-  // mutating handle must flush its buffer first (buffer().FlushAll()).
-  void Reattach(const Meta& meta);
-
   storage::PageId root() const { return root_; }
   Meta meta() const {
     return Meta{root_, root_level_, size_, num_nodes_};
@@ -238,8 +231,8 @@ class RTree {
   uint16_t root_level_ = 0;
   size_t size_ = 0;
   size_t num_nodes_ = 1;
-  // Maintained by bounding_box(); invalid until first derived (attach /
-  // Reattach leave it unknown, BulkLoad and Insert keep it current).
+  // Maintained by bounding_box(); invalid until first derived (attach
+  // leaves it unknown, BulkLoad and Insert keep it current).
   geo::Rect bbox_ = geo::Rect::Empty();
   bool bbox_valid_ = false;
   // Levels that have already used their one forced reinsert during the

@@ -271,228 +271,5 @@ TEST_F(BatchServerTest, CheckedBatchesMatchPlainOnHealthyStore) {
   EXPECT_EQ(stats.query_retries, 0u);
 }
 
-// A clustered workload for the semantic-cache tests: every query point is
-// a small jitter around one of a few cluster centers, with *discrete*
-// parameters (k, extents, radius), so many queries land inside the
-// validity regions of earlier answers.
-Workload MakeClusteredWorkload(size_t nn, size_t window, size_t range,
-                               uint32_t seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> coord(0.1, 0.9);
-  std::normal_distribution<double> jitter(0.0, 0.004);
-  std::vector<geo::Point> centers;
-  for (int i = 0; i < 8; ++i) centers.push_back({coord(rng), coord(rng)});
-  auto sample = [&](size_t i) {
-    const geo::Point& c = centers[i % centers.size()];
-    return geo::Point{std::clamp(c.x + jitter(rng), 0.0, 1.0),
-                      std::clamp(c.y + jitter(rng), 0.0, 1.0)};
-  };
-  Workload w;
-  for (size_t i = 0; i < nn; ++i) w.nn.push_back({sample(i), 5});
-  for (size_t i = 0; i < window; ++i) {
-    w.window.push_back({sample(i), 0.01, 0.01});
-  }
-  for (size_t i = 0; i < range; ++i) w.range.push_back({sample(i), 0.01});
-  return w;
-}
-
-// Checks one wire batch result against the serial oracle *semantically*:
-// a cache hit legitimately returns the bytes of a different (covering)
-// query, so byte equality only holds for the answer identity set at the
-// client's own position, not for the whole message.
-void ExpectWireBatchValid(const Workload& w,
-                          const std::vector<StatusOr<std::vector<uint8_t>>>& nn,
-                          const std::vector<StatusOr<std::vector<uint8_t>>>& window,
-                          const std::vector<StatusOr<std::vector<uint8_t>>>& range,
-                          core::Server& serial) {
-  ASSERT_EQ(nn.size(), w.nn.size());
-  for (size_t i = 0; i < w.nn.size(); ++i) {
-    ASSERT_TRUE(nn[i].ok()) << nn[i].status().ToString();
-    const auto decoded = core::wire::DecodeNnResult(nn[i].value()).value();
-    ASSERT_TRUE(decoded.IsValidAt(w.nn[i].q)) << "nn query " << i;
-    EXPECT_EQ(test::Ids(decoded.answers()),
-              test::Ids(serial.NnQuery(w.nn[i].q, w.nn[i].k).answers()))
-        << "nn query " << i;
-  }
-  ASSERT_EQ(window.size(), w.window.size());
-  for (size_t i = 0; i < w.window.size(); ++i) {
-    ASSERT_TRUE(window[i].ok());
-    const auto decoded =
-        core::wire::DecodeWindowResult(window[i].value()).value();
-    const auto& q = w.window[i];
-    ASSERT_TRUE(decoded.IsValidAt(q.focus)) << "window query " << i;
-    EXPECT_EQ(test::Ids(decoded.result()),
-              test::Ids(serial.WindowQuery(q.focus, q.hx, q.hy).result()))
-        << "window query " << i;
-  }
-  ASSERT_EQ(range.size(), w.range.size());
-  for (size_t i = 0; i < w.range.size(); ++i) {
-    ASSERT_TRUE(range[i].ok());
-    const auto decoded =
-        core::wire::DecodeRangeResult(range[i].value()).value();
-    const auto& q = w.range[i];
-    ASSERT_TRUE(decoded.IsValidAt(q.focus)) << "range query " << i;
-    EXPECT_EQ(test::Ids(decoded.result()),
-              test::Ids(serial.RangeQuery(q.focus, q.radius).result()))
-        << "range query " << i;
-  }
-}
-
-// Without a cache, the wire batch path is exactly encode(checked batch):
-// byte-identical to the serial Server for every query.
-TEST_F(BatchServerTest, WireBatchesWithoutCacheMatchSerialByteForByte) {
-  const Workload w = MakeWorkload(300, 150, 150, 61);
-  core::Server serial(tree_.get(), universe_);
-  const std::vector<std::vector<uint8_t>> want = SerialWireAnswers(serial, w);
-
-  BatchServer batch = MakeBatchServer(4);
-  const auto nn = batch.NnQueryBatchWire(w.nn);
-  const auto window = batch.WindowQueryBatchWire(w.window);
-  const auto range = batch.RangeQueryBatchWire(w.range);
-  EXPECT_FALSE(batch.cache_enabled());
-
-  size_t idx = 0;
-  for (const auto& r : nn) ASSERT_EQ(r.value(), want[idx++]);
-  for (const auto& r : window) ASSERT_EQ(r.value(), want[idx++]);
-  for (const auto& r : range) ASSERT_EQ(r.value(), want[idx++]);
-  EXPECT_EQ(batch.perf_stats().cache.lookups, 0u);
-}
-
-TEST_F(BatchServerTest, PerWorkerCacheServesValidAnswersAndHits) {
-  const Workload w = MakeClusteredWorkload(800, 400, 400, 67);
-  core::Server serial(tree_.get(), universe_);
-
-  core::BatchServerOptions options;
-  options.num_threads = 4;
-  options.cache.enabled = true;
-  BatchServer batch(&disk_, tree_->meta(), universe_, options);
-  ASSERT_TRUE(batch.cache_enabled());
-
-  // Two rounds over the same workload: the second runs against warm
-  // caches and must still be semantically exact.
-  for (int round = 0; round < 2; ++round) {
-    const auto nn = batch.NnQueryBatchWire(w.nn);
-    const auto window = batch.WindowQueryBatchWire(w.window);
-    const auto range = batch.RangeQueryBatchWire(w.range);
-    ExpectWireBatchValid(w, nn, window, range, serial);
-  }
-
-  const auto stats = batch.perf_stats();
-  EXPECT_EQ(stats.cache.lookups, 2u * (800 + 400 + 400));
-  EXPECT_GT(stats.cache.hits, 0u);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.cache.lookups);
-  EXPECT_GT(stats.cache.inserts, 0u);
-  EXPECT_GT(stats.cache.entries, 0u);
-}
-
-TEST_F(BatchServerTest, SharedCacheServesValidAnswersAndInvalidates) {
-  const Workload w = MakeClusteredWorkload(600, 300, 300, 71);
-  core::Server serial(tree_.get(), universe_);
-
-  core::BatchServerOptions options;
-  options.num_threads = 4;
-  options.cache.enabled = true;
-  options.cache.shared = true;
-  BatchServer batch(&disk_, tree_->meta(), universe_, options);
-  ASSERT_TRUE(batch.cache_enabled());
-
-  for (int round = 0; round < 2; ++round) {
-    const auto nn = batch.NnQueryBatchWire(w.nn);
-    const auto window = batch.WindowQueryBatchWire(w.window);
-    const auto range = batch.RangeQueryBatchWire(w.range);
-    ExpectWireBatchValid(w, nn, window, range, serial);
-  }
-  const auto warm = batch.perf_stats();
-  EXPECT_GT(warm.cache.hits, 0u);
-
-  // NotifyDataChanged marks everything stale; the next round may not
-  // serve any pre-notification answer, but stays correct (the dataset
-  // itself did not change here — only the staleness epoch).
-  batch.NotifyDataChanged();
-  const auto nn = batch.NnQueryBatchWire(w.nn);
-  const auto window = batch.WindowQueryBatchWire(w.window);
-  const auto range = batch.RangeQueryBatchWire(w.range);
-  ExpectWireBatchValid(w, nn, window, range, serial);
-
-  const auto stats = batch.perf_stats();
-  EXPECT_EQ(stats.cache.epoch_invalidations, 1u);
-  EXPECT_GT(stats.cache.stale_drops, 0u);
-}
-
-// Regression for the stale-read hole: mutating the tree through the
-// primary handle WITHOUT calling NotifyDataChanged() used to leave the
-// workers traversing stale pages (the authority's dirty pages never hit
-// the shared store) and the caches replaying pre-update answers. With
-// options.authoritative_tree set, the dispatcher must detect the epoch
-// change at the next batch, flush + re-point the worker handles, and
-// region-scope-invalidate the caches — no notification required.
-TEST_F(BatchServerTest, AuthoritativeTreeSyncSurvivesUnnotifiedMutations) {
-  const Workload w = MakeClusteredWorkload(400, 200, 200, 73);
-
-  core::BatchServerOptions options;
-  options.num_threads = 4;
-  options.cache.enabled = true;
-  options.cache.shared = true;
-  options.authoritative_tree = tree_.get();
-  BatchServer batch(&disk_, tree_->meta(), universe_, options);
-
-  // Warm the cache.
-  {
-    core::Server serial(tree_.get(), universe_);
-    const auto nn = batch.NnQueryBatchWire(w.nn);
-    const auto window = batch.WindowQueryBatchWire(w.window);
-    const auto range = batch.RangeQueryBatchWire(w.range);
-    ExpectWireBatchValid(w, nn, window, range, serial);
-  }
-  EXPECT_GT(batch.perf_stats().cache.entries, 0u);
-
-  // Mutate through the primary handle only: a few thousand inserts
-  // (splitting nodes as they go) plus deletes of some of them. No
-  // NotifyDataChanged.
-  std::mt19937 rng(75);
-  std::uniform_real_distribution<double> coord(0.05, 0.95);
-  std::vector<rtree::DataEntry> added;
-  for (uint32_t i = 0; i < 2000; ++i) {
-    const rtree::DataEntry e{{coord(rng), coord(rng)},
-                             static_cast<uint32_t>(kPoints + 1 + i)};
-    tree_->Insert(e.point, e.id);
-    added.push_back(e);
-  }
-  for (size_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(tree_->Delete(added[i].point, added[i].id));
-  }
-
-  // The next batch runs against the mutated tree; every answer must be
-  // semantically exact for the *current* data.
-  {
-    core::Server serial(tree_.get(), universe_);
-    const auto nn = batch.NnQueryBatchWire(w.nn);
-    const auto window = batch.WindowQueryBatchWire(w.window);
-    const auto range = batch.RangeQueryBatchWire(w.range);
-    ExpectWireBatchValid(w, nn, window, range, serial);
-  }
-  const auto mid = batch.perf_stats();
-  // The sync replayed the update log instead of nuking the cache.
-  EXPECT_GT(mid.cache.entries_invalidated_by_update, 0u);
-  EXPECT_EQ(mid.cache.epoch_invalidations, 0u);
-
-  // Overflow the bounded update log between batches (its trim raises
-  // the log floor past the server's synced epoch): the sync can no
-  // longer replay per-point updates and must fall back to the epoch
-  // nuke — while the workers still follow the (by now re-rooted) tree.
-  for (uint32_t i = 0; i < 9000; ++i) {
-    tree_->Insert({coord(rng), coord(rng)},
-                  static_cast<uint32_t>(kPoints + 10000 + i));
-  }
-  {
-    core::Server serial(tree_.get(), universe_);
-    const auto nn = batch.NnQueryBatchWire(w.nn);
-    const auto window = batch.WindowQueryBatchWire(w.window);
-    const auto range = batch.RangeQueryBatchWire(w.range);
-    ExpectWireBatchValid(w, nn, window, range, serial);
-  }
-  EXPECT_EQ(batch.perf_stats().cache.epoch_invalidations, 1u);
-}
-
 }  // namespace
 }  // namespace lbsq

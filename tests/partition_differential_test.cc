@@ -27,7 +27,9 @@
 //     must equal a fresh re-encode of that answer's original query
 //     against the current tree (the same bar churn_differential_test
 //     holds the single-tree cache to), and the decoded answer must be
-//     valid at the client position.
+//     valid at the client position. The cache runs region-scoped, or
+//     with CacheConfig::region_scoped off, where every update must
+//     epoch-invalidate all K + 1 caches exactly as core::Server does.
 
 namespace lbsq::partition {
 namespace {
@@ -36,7 +38,10 @@ using test::TreeFixture;
 
 const geo::Rect kUnit(0.0, 0.0, 1.0, 1.0);
 
-void RunDifferential(size_t fragments, bool cache_on) {
+enum CacheMode { kOff, kRegion, kEpoch };
+
+void RunDifferential(size_t fragments, CacheMode mode) {
+  const bool cache_on = mode != kOff;
   constexpr size_t kQueries = 10000;
   constexpr double kHx = 0.02, kHy = 0.015;
   constexpr double kRadius = 0.025;
@@ -56,6 +61,7 @@ void RunDifferential(size_t fragments, bool cache_on) {
     cache::CacheConfig config;
     config.max_entries = 8192;
     config.max_bytes = 16u << 20;
+    config.region_scoped = mode == kRegion;
     sharded.EnableCache(config);
   }
 
@@ -151,19 +157,24 @@ void RunDifferential(size_t fragments, bool cache_on) {
       // (not dump everything into the boundary cache).
       EXPECT_GT(sharded.owner_cache_inserts(), 0u);
     }
+    if (mode == kEpoch) {
+      EXPECT_EQ(stats.entries_invalidated_by_update, 0u);
+      EXPECT_GT(stats.epoch_invalidations, 0u);
+    }
   } else {
     EXPECT_EQ(hits, 0u);
   }
 }
 
-TEST(PartitionDifferentialTest, K1CacheOff) { RunDifferential(1, false); }
-TEST(PartitionDifferentialTest, K2CacheOff) { RunDifferential(2, false); }
-TEST(PartitionDifferentialTest, K4CacheOff) { RunDifferential(4, false); }
-TEST(PartitionDifferentialTest, K8CacheOff) { RunDifferential(8, false); }
-TEST(PartitionDifferentialTest, K1CacheOn) { RunDifferential(1, true); }
-TEST(PartitionDifferentialTest, K2CacheOn) { RunDifferential(2, true); }
-TEST(PartitionDifferentialTest, K4CacheOn) { RunDifferential(4, true); }
-TEST(PartitionDifferentialTest, K8CacheOn) { RunDifferential(8, true); }
+TEST(PartitionDifferentialTest, K1CacheOff) { RunDifferential(1, kOff); }
+TEST(PartitionDifferentialTest, K2CacheOff) { RunDifferential(2, kOff); }
+TEST(PartitionDifferentialTest, K4CacheOff) { RunDifferential(4, kOff); }
+TEST(PartitionDifferentialTest, K8CacheOff) { RunDifferential(8, kOff); }
+TEST(PartitionDifferentialTest, K1CacheOn) { RunDifferential(1, kRegion); }
+TEST(PartitionDifferentialTest, K2CacheOn) { RunDifferential(2, kRegion); }
+TEST(PartitionDifferentialTest, K4CacheOn) { RunDifferential(4, kRegion); }
+TEST(PartitionDifferentialTest, K8CacheOn) { RunDifferential(8, kRegion); }
+TEST(PartitionDifferentialTest, K4CacheEpoch) { RunDifferential(4, kEpoch); }
 
 }  // namespace
 }  // namespace lbsq::partition

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -484,32 +483,6 @@ TEST(SemanticCacheTest, KillFootprintDefinitionsCoverEveryActualKill) {
     // vacuous.
     EXPECT_GT(kills, 0u) << probe.name;
   }
-}
-
-TEST(SemanticCacheTest, SharedWrapperIsUsableConcurrently) {
-  SharedSemanticCache cache(kUnit, CacheConfig{});
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 200;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
-      std::vector<uint8_t> out;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const double lo = 0.1 * (i % 8);
-        cache.InsertWindow(
-            0.05, 0.05,
-            geo::RectMinusBoxes(geo::Rect(lo, lo, lo + 0.05, lo + 0.05), {}),
-            MakeBytes(8, static_cast<uint8_t>(t)));
-        cache.LookupWindow({lo + 0.02, lo + 0.02}, 0.05, 0.05, &out);
-        if (i % 50 == 0) cache.Invalidate();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
 }
 
 }  // namespace

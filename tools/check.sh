@@ -14,12 +14,11 @@
 #           when no clang++ is on the box (lbsq_lint's guarded-access
 #           rule remains the everywhere gate)
 #   asan    ASan+UBSan build + full ctest suite
-#   tsan    TSan build + the threaded suites (BatchServer incl. the
-#           cache-enabled wire batches, the shared semantic cache, fault
-#           injection, the net and push suites whose event loop runs on
-#           its own thread, and the partition suite's concurrent
-#           routing-table readers) — the rest are single-threaded and
-#           add nothing
+#   tsan    TSan build + the threaded suites (BatchServer's plain and
+#           checked batches, the semantic cache, fault injection, the
+#           net and push suites whose event loop runs on its own thread,
+#           and the partition suite's concurrent routing-table readers)
+#           — the rest are single-threaded and add nothing
 #   bench-smoke  micro + net_loadgen + the partition K-sweep +
 #           push_loadgen at tiny sizes; fails on crash, a failed reply
 #           verification (incl. push_loadgen's zero-answer-gap check),
@@ -32,6 +31,12 @@
 #           q/s) compared against bench/baseline.json via
 #           tools/bench_gate.py; the baseline's bands are generous
 #           multiples so only a real regression trips them
+#   servebench  python3 servebench/test_determinism.py: builds the
+#           serving benchmark, runs every workload twice at a small size
+#           plus once traced, and fails on any difference in the reply
+#           digest or the exact counts, on any failed operation, or on
+#           metric names that disagree across BENCHMARK.json and
+#           servebench/
 #
 # Build directories are reused across runs (build/, build-werror/,
 # build-asan/, build-tsan/), so incremental invocations are cheap.
@@ -44,7 +49,7 @@ JOBS="$(nproc 2>/dev/null || echo 1)"
 
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] && STAGES=(lint plain werror werror-thread-safety \
-  asan tsan bench-smoke bench-gate)
+  asan tsan bench-smoke bench-gate servebench)
 
 declare -A RESULT
 FAILED=0
@@ -172,21 +177,35 @@ stage_bench_gate() {
   return "$ok"
 }
 
+# The serving benchmark's own determinism self-test; it builds
+# servebench/ against the checkout's src/ in .bench_build/.
+stage_servebench() {
+  python3 "$ROOT/servebench/test_determinism.py"
+}
+
 for s in "${STAGES[@]}"; do
   case "$s" in
     lint | plain | werror | asan | tsan) run_stage "$s" "stage_$s" ;;
     werror-thread-safety) run_stage "$s" stage_werror_thread_safety ;;
     bench-smoke) run_stage "$s" stage_bench_smoke ;;
     bench-gate) run_stage "$s" stage_bench_gate ;;
+    servebench) run_stage "$s" stage_servebench ;;
     *)
       echo "unknown stage: $s (known: lint plain werror" \
-        "werror-thread-safety asan tsan bench-smoke bench-gate)" >&2
+        "werror-thread-safety asan tsan bench-smoke bench-gate" \
+        "servebench)" >&2
       exit 2
       ;;
   esac
 done
 
 printf '\n== summary ==\n'
+# The serving benchmark's own determinism self-test; it builds
+# servebench/ against the checkout's src/ in .bench_build/.
+stage_servebench() {
+  python3 "$ROOT/servebench/test_determinism.py"
+}
+
 for s in "${STAGES[@]}"; do
   printf '%-20s %s\n' "$s" "${RESULT[$s]}"
 done
