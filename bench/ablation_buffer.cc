@@ -26,7 +26,7 @@ int main() {
     const auto queries = bench::QueryWorkload(wb);
     double nn_pa = 0.0, tp_pa = 0.0, na = 0.0;
     for (const geo::Point& q : queries) {
-      engine.Query(q, 1);
+      engine.QueryTpnn(q, 1);
       nn_pa += static_cast<double>(engine.stats().nn_page_accesses);
       tp_pa += static_cast<double>(engine.stats().tpnn_page_accesses);
       na += static_cast<double>(engine.stats().nn_node_accesses +

@@ -36,7 +36,7 @@ Measured Run(rtree::RTree& tree, const workload::Dataset& dataset) {
     std::vector<rtree::DataEntry> result;
     tree.WindowQuery(geo::Rect::Centered(q, side / 2, side / 2), &result);
     out.window_na += static_cast<double>(tree.buffer().logical_accesses());
-    engine.Query(q, 1);
+    engine.QueryTpnn(q, 1);
     out.validity_na +=
         static_cast<double>(engine.stats().nn_node_accesses +
                             engine.stats().tpnn_node_accesses);

@@ -19,7 +19,7 @@ void RunSetting(size_t n, size_t k) {
   double total = 0.0;
   const auto queries = bench::QueryWorkload(wb);
   for (const geo::Point& q : queries) {
-    total += engine.Query(q, k).region().Area();
+    total += engine.QueryTpnn(q, k).region().Area();
   }
   const double actual = total / static_cast<double>(queries.size());
   const double estimated =

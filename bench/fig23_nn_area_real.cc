@@ -30,7 +30,7 @@ void RunDataset(const char* name, workload::Dataset dataset) {
     double actual = 0.0;
     double estimated = 0.0;
     for (const geo::Point& q : queries) {
-      actual += engine.Query(q, k).region().Area();
+      actual += engine.QueryTpnn(q, k).region().Area();
       const double rho =
           hist.NnLocalDensity(q, std::max<double>(64.0, 4.0 * k));
       if (rho > 0.0) estimated += model.Get(k, rho);

@@ -18,7 +18,7 @@ double AverageEdges(size_t n, size_t k) {
   double total = 0.0;
   const auto queries = bench::QueryWorkload(wb);
   for (const geo::Point& q : queries) {
-    total += static_cast<double>(engine.Query(q, k).region().num_vertices());
+    total += static_cast<double>(engine.QueryTpnn(q, k).region().num_vertices());
   }
   return total / static_cast<double>(queries.size());
 }

@@ -18,7 +18,7 @@ double AverageSinf(size_t n, size_t k) {
   double total = 0.0;
   const auto queries = bench::QueryWorkload(wb);
   for (const geo::Point& q : queries) {
-    total += static_cast<double>(engine.Query(q, k).InfluenceSetSize());
+    total += static_cast<double>(engine.QueryTpnn(q, k).InfluenceSetSize());
   }
   return total / static_cast<double>(queries.size());
 }

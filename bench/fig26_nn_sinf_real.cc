@@ -21,7 +21,7 @@ void RunDataset(const char* name, workload::Dataset dataset) {
   for (size_t k : {1u, 3u, 10u, 30u, 100u}) {
     double total = 0.0;
     for (const geo::Point& q : queries) {
-      total += static_cast<double>(engine.Query(q, k).InfluenceSetSize());
+      total += static_cast<double>(engine.QueryTpnn(q, k).InfluenceSetSize());
     }
     std::printf("%6zu %12.2f\n", k,
                 total / static_cast<double>(queries.size()));

@@ -26,7 +26,7 @@ CostRow Measure(size_t n, size_t k) {
   const auto queries = bench::QueryWorkload(wb);
   CostRow row;
   for (const geo::Point& q : queries) {
-    engine.Query(q, k);
+    engine.QueryTpnn(q, k);
     const auto& stats = engine.stats();
     row.nn_na += static_cast<double>(stats.nn_node_accesses);
     row.tpnn_na += static_cast<double>(stats.tpnn_node_accesses);

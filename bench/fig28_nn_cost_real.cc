@@ -23,7 +23,7 @@ void RunDataset(const char* name, workload::Dataset dataset) {
   for (size_t k : {1u, 3u, 10u, 30u, 100u}) {
     double nn_na = 0.0, tp_na = 0.0, nn_pa = 0.0, tp_pa = 0.0, tp_count = 0.0;
     for (const geo::Point& q : queries) {
-      engine.Query(q, k);
+      engine.QueryTpnn(q, k);
       const auto& stats = engine.stats();
       nn_na += static_cast<double>(stats.nn_node_accesses);
       tp_na += static_cast<double>(stats.tpnn_node_accesses);

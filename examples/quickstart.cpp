@@ -34,11 +34,12 @@ int main() {
   std::printf("validity region: %zu edges, area %.3g, influence set %zu\n",
               nn.region().num_vertices(), nn.region().Area(),
               nn.InfluenceSetSize());
-  std::printf("server work: %zu TPNN queries (%zu discovered, %zu "
-              "confirmed)\n",
-              nn_engine.stats().tpnn_queries,
-              nn_engine.stats().discovering_queries,
-              nn_engine.stats().confirming_queries);
+  std::printf("server work: one nearest-first traversal, %llu node "
+              "accesses (%llu page accesses)\n",
+              static_cast<unsigned long long>(
+                  nn_engine.stats().nn_node_accesses),
+              static_cast<unsigned long long>(
+                  nn_engine.stats().nn_page_accesses));
 
   // 3. The client-side check: no server contact while inside the region.
   const geo::Point nearby{me.x + 0.001, me.y - 0.001};

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -58,6 +60,29 @@ class VertexFlags {
   std::vector<bool> flags_;
 };
 
+constexpr uint32_t kUniverseEdge = UINT32_MAX;
+constexpr double kNoStop = std::numeric_limits<double>::infinity();
+
+// Squared stop radius of Query's stream. f(x) = |q - x| + max_a |x - a|
+// is convex, so over the polygon P its maximum B is reached at a vertex.
+// An object p with |q - p| >= B is, at every x in P, at least
+// |q - p| - |q - x| >= max_a |x - a| away: none of its bisectors cuts P,
+// and no object beyond it can either. B is inflated by a relative 1e-12
+// so that rounding in its evaluation never stops the stream early.
+double StopRadius2(const geo::Point& q, const geo::ConvexPolygon& poly,
+                   const std::vector<rtree::Neighbor>& answers) {
+  double b = 0.0;
+  for (const geo::Point& v : poly.vertices()) {
+    double far2 = 0.0;
+    for (const rtree::Neighbor& a : answers) {
+      far2 = std::max(far2, geo::SquaredDistance(v, a.entry.point));
+    }
+    b = std::max(b, geo::Distance(q, v) + std::sqrt(far2));
+  }
+  b *= 1.0 + 1e-12;
+  return b * b;
+}
+
 }  // namespace
 
 NnValidityEngine::NnValidityEngine(rtree::RTree* tree,
@@ -75,6 +100,79 @@ NnValidityEngine::NnValidityEngine(SpatialBackend* backend,
 }
 
 NnValidityResult NnValidityEngine::Query(const geo::Point& q, size_t k) {
+  LBSQ_CHECK(k > 0);
+  LBSQ_CHECK(universe_.Contains(q));
+  stats_ = Stats();
+  SpatialBackend* be = backend();
+  const uint64_t na_before = be->node_accesses();
+  const uint64_t pa_before = be->page_accesses();
+
+  std::vector<rtree::Neighbor> answers;
+  answers.reserve(k);
+  geo::ConvexPolygon poly = geo::ConvexPolygon::FromRect(universe_);
+  // edge_cut[i] labels polygon edge i with the index in `cuts` of the
+  // pair whose half-plane made it (kUniverseEdge for the universe's
+  // sides); `cuts` holds every pair that clipped, in stream order.
+  std::vector<uint32_t> edge_cut(poly.num_vertices(), kUniverseEdge);
+  std::vector<InfluencePair> cuts;
+  double stop2 = kNoStop;
+  be->BrowseNearest(q, [&](const rtree::Neighbor& n) {
+    if (answers.size() < k) {
+      answers.push_back(n);
+      if (answers.size() == k) stop2 = StopRadius2(q, poly, answers);
+      return stop2;
+    }
+    bool clipped = false;
+    for (const rtree::Neighbor& a : answers) {
+      const geo::HalfPlane h =
+          geo::BisectorTowards(a.entry.point, n.entry.point);
+      if (!poly.IsCutBy(h)) continue;
+      poly = poly.ClipHalfPlane(h, &edge_cut,
+                                static_cast<uint32_t>(cuts.size()));
+      // q lies in every half-plane, so the polygon never empties.
+      LBSQ_CHECK(!poly.IsEmpty());
+      cuts.push_back(InfluencePair{n.entry, a.entry});
+      clipped = true;
+    }
+    if (clipped) stop2 = StopRadius2(q, poly, answers);
+    return stop2;
+  });
+  stats_.nn_node_accesses = be->node_accesses() - na_before;
+  stats_.nn_page_accesses = be->page_accesses() - pa_before;
+
+  if (!storage::PageStore::PendingReadError().ok()) {
+    // A page failed mid-stream: the answers themselves are suspect.
+    // Return a degraded result; the checked query layer that enabled
+    // error reporting discards it (and may retry).
+    return NnValidityResult(q, universe_, std::move(answers), {},
+                            geo::ConvexPolygon::FromRect(universe_));
+  }
+
+  // The influence set: the pairs labelling edges of the final polygon.
+  // An edge no longer than Simplified's tolerance is a vertex of the
+  // served region, and its pair (typically a bisector through that
+  // vertex) bounds nothing.
+  const double tol = poly.Tolerance();
+  std::vector<uint32_t> labels;
+  const std::vector<geo::Point>& v = poly.vertices();
+  for (size_t i = 0; i < v.size(); ++i) {
+    const geo::Point& next = v[(i + 1) % v.size()];
+    if (edge_cut[i] == kUniverseEdge) continue;
+    if (std::abs(next.x - v[i].x) <= tol && std::abs(next.y - v[i].y) <= tol) {
+      continue;
+    }
+    labels.push_back(edge_cut[i]);
+  }
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  std::vector<InfluencePair> pairs;
+  pairs.reserve(labels.size());
+  for (uint32_t label : labels) pairs.push_back(cuts[label]);
+  return NnValidityResult(q, universe_, std::move(answers), std::move(pairs),
+                          poly.Simplified());
+}
+
+NnValidityResult NnValidityEngine::QueryTpnn(const geo::Point& q, size_t k) {
   LBSQ_CHECK(k > 0);
   LBSQ_CHECK(universe_.Contains(q));
   stats_ = Stats();

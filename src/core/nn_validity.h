@@ -12,21 +12,32 @@
 #include "rtree/rtree.h"
 
 // Server-side processing of location-based k-NN queries (Section 3):
-//  (i)   run a best-first k-NN query for the answer set;
-//  (ii)  iteratively issue TPNN/TPkNN queries toward the unconfirmed
-//        vertices of the shrinking validity polygon to discover the
-//        influence set (Algorithms Retrieve_Influence_Set_1NN / _kNN);
+//  (i)   find the answer set;
+//  (ii)  discover the influence set, shrinking the validity polygon from
+//        the data universe with one bisector half-plane per influence
+//        pair;
 //  (iii) return the answers, the influence pairs and the region.
 //
 // The computed region is exactly the (order-k) Voronoi cell of the answer
 // set clipped to the data universe, without any precomputed diagram.
+//
+// Two algorithms compute it. Query, which serves, runs steps (i) and
+// (ii) as one nearest-first stream from q: the first k objects are the
+// answers, each later object clips the polygon with its bisectors
+// against them, and the stream stops at the radius beyond which no
+// object can cut the polygon any more (DESIGN.md §4). QueryTpnn is the
+// paper's algorithm: a best-first k-NN query, then TPNN/TPkNN queries
+// aimed at the unconfirmed vertices of the shrinking polygon
+// (Algorithms Retrieve_Influence_Set_1NN / _kNN). It reproduces the
+// paper's cost figures and is the oracle Query is tested against.
 
 namespace lbsq::core {
 
 class NnValidityEngine {
  public:
   struct Stats {
-    // Counts for the *last* Query call.
+    // Counts for the *last* Query or QueryTpnn call. Query's one stream
+    // reports as step (i); its TPNN fields stay 0.
     size_t tpnn_queries = 0;        // total TPNN/TPkNN queries issued
     size_t discovering_queries = 0; // those that found a new influence pair
     size_t confirming_queries = 0;  // those that confirmed a vertex
@@ -45,9 +56,15 @@ class NnValidityEngine {
   // validity region is a pure function of the exact query results.
   NnValidityEngine(SpatialBackend* backend, const geo::Rect& universe);
 
-  // Processes a location-based k-NN query at `q`. If the dataset holds
-  // fewer than k+1 points the validity region is the whole universe.
+  // Processes a location-based k-NN query at `q` with the nearest-first
+  // stream. If the dataset holds fewer than k+1 points the validity
+  // region is the whole universe.
   NnValidityResult Query(const geo::Point& q, size_t k);
+
+  // The same query by the paper's TPNN algorithm: the same answers, and
+  // the same region and influence pairs up to the 1e-9 relative
+  // tolerance both algorithms ignore slivers at.
+  NnValidityResult QueryTpnn(const geo::Point& q, size_t k);
 
   // Like Query, but the region additionally preserves the *ranking* of
   // the k answers, not just their identity: the order-k cell intersected

@@ -14,8 +14,9 @@
 
 // The query surface the validity-region engines actually need from a
 // spatial index. The engines (nn_validity, window_validity,
-// range_validity) consume exactly four primitives — k-NN, window query,
-// TPNN/TPkNN — plus the NA/PA counters and the dataset cardinality.
+// range_validity) consume exactly five primitives — k-NN, the
+// nearest-first stream, window query, TPNN/TPkNN — plus the NA/PA
+// counters and the dataset cardinality.
 // Abstracting them lets the same engine code run over a single R*-tree
 // (RTreeBackend below) or over K spatially sharded fragments behind a
 // router (partition::FragmentRouter), and the validity-region machinery
@@ -29,6 +30,11 @@
 //     smaller id. rtree::KnnBestFirst already guarantees this, and it is
 //     independent of tree structure, so any backend that returns the
 //     true global top-k in that order is interchangeable.
+//   * BrowseNearest hands out objects in ascending (squared distance,
+//     id) order with nodes expanded before objects at equal distance
+//     (rtree::BrowseNearest), so the sequence — and hence where a
+//     shrinking stop radius cuts it — is a pure function of the data
+//     set, however it is split across trees.
 //   * WindowQuery returns the matching entries in CANONICAL order —
 //     ascending (id, x, y) — NOT tree-traversal order. Traversal order
 //     leaks the tree's node layout into the wire encoding of window and
@@ -60,6 +66,12 @@ class SpatialBackend {
   // Exact k nearest neighbors of q (see the determinism contract above).
   virtual std::vector<rtree::Neighbor> Knn(const geo::Point& q,
                                            size_t k) = 0;
+
+  // Streams the dataset's objects nearest-first from q into `visit`
+  // until the squared stop radius it returns is reached (see
+  // rtree::BrowseNearest and the determinism contract above).
+  virtual void BrowseNearest(const geo::Point& q,
+                             const rtree::StreamVisitor& visit) = 0;
 
   // All points inside `w` (closed containment), in canonical order.
   virtual void WindowQuery(const geo::Rect& w,
@@ -105,6 +117,12 @@ class RTreeBackend final : public SpatialBackend {
 
   std::vector<rtree::Neighbor> Knn(const geo::Point& q, size_t k) override {
     return rtree::KnnBestFirst(*tree_, q, k);
+  }
+
+  void BrowseNearest(const geo::Point& q,
+                     const rtree::StreamVisitor& visit) override {
+    const rtree::StreamSource source{tree_, 0.0};
+    rtree::BrowseNearest({&source, 1}, q, visit);
   }
 
   void WindowQuery(const geo::Rect& w,

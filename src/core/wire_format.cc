@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "common/bytes.h"
 #include "geometry/convex_polygon.h"
@@ -74,28 +75,49 @@ StatusOr<std::vector<uint8_t>> EncodeNnResult(const NnValidityResult& result) {
   for (const rtree::Neighbor& n : result.answers()) {
     AppendEntry(&writer, n.entry);
   }
-  writer.AppendVarCount(
-      static_cast<uint32_t>(result.influence_pairs().size()));
+  // Each pair ships its incoming object and the index of the answer it
+  // displaces. A pair displacing a non-answer has no index — encoding one
+  // anyway (the old behavior was to emit 0) would decode into a
+  // *different* bisector and hence a silently wrong validity region, so
+  // fail loudly instead.
+  struct IndexedPair {
+    uint32_t index;
+    const rtree::DataEntry* incoming;
+  };
+  std::vector<IndexedPair> indexed;
+  indexed.reserve(result.influence_pairs().size());
   for (const InfluencePair& pair : result.influence_pairs()) {
-    AppendEntry(&writer, pair.incoming);
-    // The displaced object is one of the answers; ship its index. A pair
-    // displacing a non-answer has no index — encoding one anyway (the old
-    // behavior was to emit 0) would decode into a *different* bisector
-    // and hence a silently wrong validity region, so fail loudly instead.
-    uint32_t index = 0;
-    bool found = false;
-    for (size_t i = 0; i < result.answers().size(); ++i) {
-      if (result.answers()[i].entry.id == pair.displaced.id) {
-        index = static_cast<uint32_t>(i);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const auto it = std::find_if(
+        result.answers().begin(), result.answers().end(),
+        [&](const rtree::Neighbor& a) {
+          return a.entry.id == pair.displaced.id;
+        });
+    if (it == result.answers().end()) {
       return Status::Internal(
           "influence pair displaces an object that is not among the answers");
     }
-    writer.AppendVarCount(index);
+    indexed.push_back(IndexedPair{
+        static_cast<uint32_t>(it - result.answers().begin()), &pair.incoming});
+  }
+  // Canonical pair order — (displaced answer index, incoming id), then
+  // (x, y) for the degenerate duplicate-id case — so the bytes are a
+  // pure function of the answers and the pair set, whichever order the
+  // engine discovered the pairs in.
+  std::sort(indexed.begin(), indexed.end(),
+            [](const IndexedPair& a, const IndexedPair& b) {
+              if (a.index != b.index) return a.index < b.index;
+              if (a.incoming->id != b.incoming->id) {
+                return a.incoming->id < b.incoming->id;
+              }
+              if (a.incoming->point.x != b.incoming->point.x) {
+                return a.incoming->point.x < b.incoming->point.x;
+              }
+              return a.incoming->point.y < b.incoming->point.y;
+            });
+  writer.AppendVarCount(static_cast<uint32_t>(indexed.size()));
+  for (const IndexedPair& pair : indexed) {
+    AppendEntry(&writer, *pair.incoming);
+    writer.AppendVarCount(pair.index);
   }
   // Universe (the boundary part of IsValidAt): 32 bytes.
   AppendRect(&writer, result.universe());
@@ -146,9 +168,11 @@ StatusOr<NnValidityResult> DecodeNnResult(const std::vector<uint8_t>& bytes) {
   geo::ConvexPolygon region =
       universe.IsEmpty() ? geo::ConvexPolygon()
                          : geo::ConvexPolygon::FromRect(universe);
+  std::vector<geo::Point> scratch;
   for (const InfluencePair& pair : pairs) {
-    region = region.ClipHalfPlane(
-        geo::BisectorTowards(pair.displaced.point, pair.incoming.point));
+    region.ClipInPlace(
+        geo::BisectorTowards(pair.displaced.point, pair.incoming.point),
+        &scratch);
   }
   return NnValidityResult(query, universe, std::move(answers),
                           std::move(pairs), std::move(region));

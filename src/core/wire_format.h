@@ -17,6 +17,7 @@
 // Encodings (little-endian fixed-width scalars, LEB128 varint counts):
 //   k-NN answer:   query point, universe, answers (point+id), influence
 //                  pairs (incoming point+id, displaced answer index)
+//                  sorted by (displaced answer index, incoming id)
 //   window answer: focus, half-extents, result (point+id), conservative
 //                  rectangle, holes of the exact region
 //   range answer:  focus, radius, result (point+id), influence objects

@@ -1,5 +1,6 @@
 #include "geometry/convex_polygon.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -40,27 +41,81 @@ bool ConvexPolygon::Contains(const Point& p) const {
   return true;
 }
 
-ConvexPolygon ConvexPolygon::ClipHalfPlane(const HalfPlane& h) const {
-  if (IsEmpty()) return ConvexPolygon();
-  std::vector<Point> out;
-  out.reserve(vertices_.size() + 1);
-  const size_t n = vertices_.size();
+namespace {
+
+// Single-plane Sutherland-Hodgman over CCW `in`, written to `*out`
+// (cleared first). With kLabelled, also carries the per-edge labels (see
+// the labelled ClipHalfPlane overload): each emitted vertex is followed
+// by the label of the edge leaving it — the old edge while the boundary
+// runs along it, `label` from the vertex where the polygon exits the
+// half-plane. Without it the labels are never touched, so the plain clip
+// pays nothing for them.
+template <bool kLabelled>
+void Clip(const std::vector<Point>& in, const HalfPlane& h,
+          const std::vector<uint32_t>* labels, uint32_t label,
+          std::vector<Point>* out, std::vector<uint32_t>* out_labels) {
+  out->clear();
+  out->reserve(in.size() + 1);
+  if constexpr (kLabelled) {
+    out_labels->clear();
+    out_labels->reserve(in.size() + 1);
+  }
+  const size_t n = in.size();
   for (size_t i = 0; i < n; ++i) {
-    const Point& cur = vertices_[i];
-    const Point& nxt = vertices_[(i + 1) % n];
+    const Point& cur = in[i];
+    const Point& nxt = in[(i + 1) % n];
     const double d_cur = h.Evaluate(cur);
     const double d_nxt = h.Evaluate(nxt);
-    if (d_cur <= 0.0) out.push_back(cur);
+    if (d_cur <= 0.0) {
+      out->push_back(cur);
+      if constexpr (kLabelled) {
+        out_labels->push_back(d_cur == 0.0 && d_nxt > 0.0 ? label
+                                                          : (*labels)[i]);
+      }
+    }
     // Edge crosses the boundary: emit the intersection point. Crossing is
     // strict on both sides so that vertices exactly on the boundary are
     // emitted once (by the d_cur <= 0 branch) and not duplicated.
     if ((d_cur < 0.0 && d_nxt > 0.0) || (d_cur > 0.0 && d_nxt < 0.0)) {
       const double t = d_cur / (d_cur - d_nxt);
-      out.push_back({cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)});
+      out->push_back(
+          {cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)});
+      if constexpr (kLabelled) {
+        out_labels->push_back(d_cur < 0.0 ? label : (*labels)[i]);
+      }
     }
   }
+}
+
+}  // namespace
+
+ConvexPolygon ConvexPolygon::ClipHalfPlane(const HalfPlane& h) const {
+  if (IsEmpty()) return ConvexPolygon();
+  std::vector<Point> out;
+  Clip<false>(vertices_, h, nullptr, 0, &out, nullptr);
   if (out.size() < 3) return ConvexPolygon();
   return ConvexPolygon(std::move(out));
+}
+
+ConvexPolygon ConvexPolygon::ClipHalfPlane(const HalfPlane& h,
+                                           std::vector<uint32_t>* edge_labels,
+                                           uint32_t label) const {
+  if (IsEmpty()) return ConvexPolygon();
+  LBSQ_DCHECK(edge_labels->size() == vertices_.size());
+  std::vector<Point> out;
+  std::vector<uint32_t> out_labels;
+  Clip<true>(vertices_, h, edge_labels, label, &out, &out_labels);
+  if (out.size() < 3) return ConvexPolygon();
+  *edge_labels = std::move(out_labels);
+  return ConvexPolygon(std::move(out));
+}
+
+void ConvexPolygon::ClipInPlace(const HalfPlane& h,
+                                std::vector<Point>* scratch) {
+  if (IsEmpty()) return;
+  Clip<false>(vertices_, h, nullptr, 0, scratch, nullptr);
+  if (scratch->size() < 3) scratch->clear();
+  vertices_.swap(*scratch);
 }
 
 bool ConvexPolygon::IsCutBy(const HalfPlane& h, double eps) const {
@@ -77,11 +132,7 @@ bool ConvexPolygon::IsCutBy(const HalfPlane& h, double eps) const {
 
 ConvexPolygon ConvexPolygon::Simplified(double eps) const {
   if (IsEmpty()) return ConvexPolygon();
-  // Scale-aware tolerance from the polygon's extent.
-  const Rect box = BoundingBox();
-  const double scale =
-      std::max({box.width(), box.height(), 1e-300});
-  const double tol = eps * scale;
+  const double tol = Tolerance(eps);
 
   // Drop vertices that coincide with their predecessor.
   std::vector<Point> distinct;
@@ -117,6 +168,12 @@ ConvexPolygon ConvexPolygon::Simplified(double eps) const {
   }
   if (out.size() < 3) return ConvexPolygon();
   return ConvexPolygon(std::move(out));
+}
+
+double ConvexPolygon::Tolerance(double eps) const {
+  // Scale-aware tolerance from the polygon's extent.
+  const Rect box = BoundingBox();
+  return eps * std::max({box.width(), box.height(), 1e-300});
 }
 
 Rect ConvexPolygon::BoundingBox() const {

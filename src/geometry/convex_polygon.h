@@ -2,6 +2,7 @@
 #define LBSQ_GEOMETRY_CONVEX_POLYGON_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "geometry/halfplane.h"
@@ -45,6 +46,21 @@ class ConvexPolygon {
   // polygon (possibly empty). Single-plane Sutherland-Hodgman.
   ConvexPolygon ClipHalfPlane(const HalfPlane& h) const;
 
+  // The same clip (identical vertices), also carrying per-edge labels:
+  // (*edge_labels)[i] labels the edge from vertex i to vertex i + 1
+  // (cyclically), on entry for this polygon and on return for the
+  // clipped one. Surviving pieces of old edges keep their labels; the
+  // edge the half-plane's boundary contributes gets `label`.
+  ConvexPolygon ClipHalfPlane(const HalfPlane& h,
+                              std::vector<uint32_t>* edge_labels,
+                              uint32_t label) const;
+
+  // ClipHalfPlane(h) in place, for a run of clips: the same vertices,
+  // built in `scratch`, which then takes the old vertex buffer. A caller
+  // that keeps `scratch` across the run allocates nothing once both
+  // buffers have grown.
+  void ClipInPlace(const HalfPlane& h, std::vector<Point>* scratch);
+
   // True when the half-plane boundary actually cuts the polygon, i.e.
   // clipping with `h` would remove at least one vertex. `eps` is a
   // *relative* tolerance (scaled by the normal and vertex magnitudes) so
@@ -59,6 +75,11 @@ class ConvexPolygon {
   // clipping leaves such degeneracies behind; edge counts (Figure 24)
   // are only meaningful on the simplified polygon.
   ConvexPolygon Simplified(double eps = 1e-9) const;
+
+  // The absolute tolerance Simplified(eps) works at: `eps` times the
+  // larger side of the bounding box. Two vertices closer than this on
+  // both axes are one vertex of the simplified polygon.
+  double Tolerance(double eps = 1e-9) const;
 
  private:
   std::vector<Point> vertices_;

@@ -138,6 +138,20 @@ std::vector<rtree::Neighbor> FragmentRouter::Knn(const geo::Point& q,
   return best;
 }
 
+void FragmentRouter::BrowseNearest(const geo::Point& q,
+                                   const rtree::StreamVisitor& visit) {
+  const std::vector<RouteEntry> table = SnapshotTable();
+  std::vector<rtree::StreamSource> sources;
+  sources.reserve(table.size());
+  for (size_t f = 0; f < table.size(); ++f) {
+    if (table[f].points == 0) continue;
+    sources.push_back(rtree::StreamSource{
+        trees_[f], geo::SquaredMinDist(q, table[f].extent)});
+  }
+  ++fanout_queries_;
+  fanout_fragments_ += rtree::BrowseNearest(sources, q, visit);
+}
+
 void FragmentRouter::WindowQuery(const geo::Rect& w,
                                  std::vector<rtree::DataEntry>* out) {
   const std::vector<RouteEntry> table = SnapshotTable();

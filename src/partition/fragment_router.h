@@ -28,6 +28,11 @@
 //     of every point in the fragment — exactly the invariant single-tree
 //     best-first search uses per node — the merged result is the true
 //     global top-k in canonical order.
+//   * BrowseNearest runs one nearest-first stream whose heap starts
+//     with every non-empty fragment's root at mindist to the fragment's
+//     extent; nodes and objects of all fragments then share the heap's
+//     (distance, node first, id) order, so the objects come out exactly
+//     as one tree over the whole data set would hand them out.
 //   * WindowQuery fans out to the fragments whose extent intersects the
 //     window and re-sorts the union into the canonical (id, x, y) order.
 //   * Tpnn/Tpknn fan out to every non-empty fragment and merge under the
@@ -73,6 +78,8 @@ class FragmentRouter final : public core::SpatialBackend {
   uint64_t node_accesses() const override;
   uint64_t page_accesses() const override;
   std::vector<rtree::Neighbor> Knn(const geo::Point& q, size_t k) override;
+  void BrowseNearest(const geo::Point& q,
+                     const rtree::StreamVisitor& visit) override;
   void WindowQuery(const geo::Rect& w,
                    std::vector<rtree::DataEntry>* out) override;
   tp::TpnnResult Tpnn(const geo::Point& q, const geo::Vec2& l,
@@ -88,10 +95,11 @@ class FragmentRouter final : public core::SpatialBackend {
   }
 
   // Cumulative fan-out telemetry: backend primitives routed and the
-  // fragments they actually visited (frontier stops and extent pruning
-  // keep visited below K x primitives). fanout_fragments / fanout_queries
-  // is the average fan-out a thread-per-fragment split would pay per
-  // routed primitive.
+  // fragments they actually visited (frontier stops, extent pruning and
+  // the stream's stop radius keep visited below K x primitives; a
+  // stream visits the fragments whose root it expands).
+  // fanout_fragments / fanout_queries is the average fan-out a
+  // thread-per-fragment split would pay per routed primitive.
   uint64_t fanout_queries() const { return fanout_queries_; }
   uint64_t fanout_fragments() const { return fanout_fragments_; }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <queue>
@@ -11,6 +12,7 @@
 
 #include "common/check.h"
 #include "geometry/rect.h"
+#include "storage/page_store.h"
 
 namespace lbsq::rtree {
 
@@ -530,6 +532,90 @@ std::vector<Neighbor> KnnBestFirstLegacy(RTree& tree, const geo::Point& q,
     }
   }
   return out;
+}
+
+size_t BrowseNearest(std::span<const StreamSource> sources,
+                     const geo::Point& q, const StreamVisitor& visit) {
+  // `key` is the squared (min)distance; `id` an object id or a node's
+  // page. Distances mirror geo::SquaredDistance / geo::SquaredMinDist
+  // exactly (this TU is built without FMA contraction), so the keys and
+  // the handed-out distances are bit-identical to KnnBestFirst's.
+  struct Item {
+    double key;
+    uint32_t id;
+    uint16_t is_object;
+    uint16_t source;
+    geo::Point point;  // objects only
+  };
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.key != b.key) return a.key > b.key;
+      if (a.is_object != b.is_object) return a.is_object > b.is_object;
+      return a.id > b.id;
+    }
+  };
+  thread_local std::vector<Item> heap;
+  heap.clear();
+  auto push = [](const Item& item) {
+    heap.push_back(item);
+    std::push_heap(heap.begin(), heap.end(), Later{});
+  };
+
+  LBSQ_CHECK(sources.size() <= UINT16_MAX);
+  for (size_t s = 0; s < sources.size(); ++s) {
+    if (sources[s].tree->size() == 0) continue;
+    push(Item{sources[s].root_mindist2, sources[s].tree->root(), 0,
+              static_cast<uint16_t>(s), {}});
+  }
+
+  double stop2 = std::numeric_limits<double>::infinity();
+  size_t roots_expanded = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    const Item top = heap.back();
+    heap.pop_back();
+    if (!(top.key < stop2)) break;
+    if (top.is_object != 0) {
+      stop2 =
+          visit(Neighbor{DataEntry{top.point, top.id}, std::sqrt(top.key)});
+      continue;
+    }
+    RTree& tree = *sources[top.source].tree;
+    if (top.id == tree.root()) ++roots_expanded;
+    const NodeView node = tree.FetchView(top.id);
+    if (!storage::PageStore::PendingReadError().ok()) break;
+    const size_t n = node.size();
+    if (node.is_leaf()) {
+      const uint8_t* xs = node.leaf_xs();
+      const uint8_t* ys = node.leaf_ys();
+      for (size_t i = 0; i < n; ++i) {
+        const double x = LoadF64(xs, i);
+        const double y = LoadF64(ys, i);
+        const double dx = q.x - x;
+        const double dy = q.y - y;
+        const double d2 = dx * dx + dy * dy;
+        if (d2 < stop2) {
+          push(Item{d2, node.object_id(i), 1, top.source, {x, y}});
+        }
+      }
+    } else {
+      const uint8_t* xlo = node.child_xlos();
+      const uint8_t* ylo = node.child_ylos();
+      const uint8_t* xhi = node.child_xhis();
+      const uint8_t* yhi = node.child_yhis();
+      for (size_t i = 0; i < n; ++i) {
+        const double dx = std::max(std::max(LoadF64(xlo, i) - q.x, 0.0),
+                                   q.x - LoadF64(xhi, i));
+        const double dy = std::max(std::max(LoadF64(ylo, i) - q.y, 0.0),
+                                   q.y - LoadF64(yhi, i));
+        const double md2 = dx * dx + dy * dy;
+        if (md2 < stop2) {
+          push(Item{md2, node.child_page(i), 0, top.source, {}});
+        }
+      }
+    }
+  }
+  return roots_expanded;
 }
 
 }  // namespace lbsq::rtree

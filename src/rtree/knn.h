@@ -2,6 +2,8 @@
 #define LBSQ_RTREE_KNN_H_
 
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "geometry/point.h"
@@ -39,6 +41,44 @@ std::vector<Neighbor> KnnBestFirst(RTree& tree, const geo::Point& q,
 // single-threaded seed baseline in bench/throughput.cc.
 std::vector<Neighbor> KnnBestFirstLegacy(RTree& tree, const geo::Point& q,
                                          size_t k);
+
+// -- Resumable nearest-first stream -----------------------------------------
+
+// One tree of a nearest-first stream, entered at its root.
+// `root_mindist2` lower-bounds the squared distance from the query point
+// to every point of the tree (0 always qualifies).
+struct StreamSource {
+  RTree* tree = nullptr;
+  double root_mindist2 = 0.0;
+};
+
+// Takes the next streamed object (Neighbor::distance is the true
+// distance) and returns the squared stop radius for the rest of the
+// stream. The radius must never grow from one call to the next.
+using StreamVisitor = std::function<double(const Neighbor&)>;
+
+// Distance browsing [HS99] over the union of `sources`: hands the
+// objects to `visit` in ascending (squared distance, id) order — the
+// order KnnBestFirst ranks its answers in, so the first k objects are
+// KnnBestFirst's k answers bit for bit — and stops at the first node or
+// object whose squared distance is at or beyond the stop radius `visit`
+// last returned (infinite before the first object), when the sources
+// are exhausted, or after a node fetch leaves a pending read error
+// (storage::PageStore::PendingReadError; the caller checks it).
+//
+// Nodes and objects share one heap, ordered by (squared distance, node
+// before object, id): an object is only handed out once no node at its
+// distance is left unexpanded, so an equal-distance object with a
+// smaller id cannot hide in one. The objects' order is therefore the
+// same however they are split across trees and nodes. Items at or beyond
+// the stop radius are dropped when pushed, which loses nothing because
+// the radius only shrinks.
+//
+// The heap is per-thread scratch, reused across calls: `visit` must not
+// start another stream on the same thread. Returns the number of
+// sources whose root was expanded.
+size_t BrowseNearest(std::span<const StreamSource> sources,
+                     const geo::Point& q, const StreamVisitor& visit);
 
 }  // namespace lbsq::rtree
 

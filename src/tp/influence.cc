@@ -1,8 +1,8 @@
 #include "tp/influence.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <vector>
 
 #include "common/check.h"
 
@@ -67,23 +67,37 @@ double NodeInfluenceLowerBound(const geo::Point& q, const geo::Vec2& l,
   const double qo2 = geo::SquaredDistance(q, o);
   const geo::Vec2 q_minus_o = q - o;
 
-  // Breakpoints (slab crossings) at t > 0.
-  std::vector<double> cuts = {0.0};
-  auto add_cut = [&cuts](double bound, double origin, double speed) {
+  // Breakpoints (slab crossings) at t > 0: t = 0 plus at most one per
+  // rectangle side, so a fixed array holds them (this runs for every
+  // child MBR of every TPNN descent).
+  std::array<double, 5> cuts;
+  cuts[0] = 0.0;
+  size_t num_cuts = 1;
+  auto add_cut = [&](double bound, double origin, double speed) {
     if (std::abs(speed) < kEps) return;
     const double t = (bound - origin) / speed;
-    if (t > 0.0 && std::isfinite(t)) cuts.push_back(t);
+    if (t > 0.0 && std::isfinite(t)) cuts[num_cuts++] = t;
   };
   add_cut(e.min_x, q.x, l.dx);
   add_cut(e.max_x, q.x, l.dx);
   add_cut(e.min_y, q.y, l.dy);
   add_cut(e.max_y, q.y, l.dy);
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  // Insertion sort that drops exact duplicates as it goes.
+  size_t sorted = 1;
+  for (size_t i = 1; i < num_cuts; ++i) {
+    const double t = cuts[i];
+    size_t j = sorted;
+    while (j > 0 && cuts[j - 1] > t) --j;
+    if (j > 0 && cuts[j - 1] == t) continue;
+    for (size_t m = sorted; m > j; --m) cuts[m] = cuts[m - 1];
+    cuts[j] = t;
+    ++sorted;
+  }
+  num_cuts = sorted;
 
-  for (size_t i = 0; i < cuts.size(); ++i) {
+  for (size_t i = 0; i < num_cuts; ++i) {
     const double lo = cuts[i];
-    const bool last = i + 1 == cuts.size();
+    const bool last = i + 1 == num_cuts;
     const double hi = last ? kNever : cuts[i + 1];
     // Classify the clamp pattern at a probe inside the interval.
     const double probe = last ? lo + 1.0 : 0.5 * (lo + hi);

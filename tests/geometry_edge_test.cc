@@ -3,6 +3,8 @@
 // relations — parameterized over random seeds.
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +32,34 @@ TEST(ConvexPolygonEdgeTest, ClipExactlyThroughVertexKeepsPolygonClosed) {
   }
   EXPECT_EQ(at_01, 1);
   EXPECT_EQ(at_10, 1);
+}
+
+// The labelled clip: identical vertices to the plain clip, surviving
+// pieces of edges keep their labels, the new edge gets the new label —
+// also when the boundary passes exactly through vertices.
+TEST(ConvexPolygonEdgeTest, LabelledClipTracksWhichPlaneMadeEachEdge) {
+  const ConvexPolygon square = ConvexPolygon::FromRect(Rect(0, 0, 1, 1));
+  // Edges of FromRect: 0 bottom, 1 right, 2 top, 3 left.
+  std::vector<uint32_t> labels = {0, 1, 2, 3};
+  const HalfPlane cut_corner(Vec2{1.0, 1.0}, 1.5);  // x + y <= 1.5
+  ConvexPolygon poly = square.ClipHalfPlane(cut_corner, &labels, 7);
+  EXPECT_EQ(poly.vertices(), square.ClipHalfPlane(cut_corner).vertices());
+  ASSERT_EQ(poly.num_vertices(), 5u);
+  EXPECT_EQ(labels, (std::vector<uint32_t>{0, 1, 7, 2, 3}));
+
+  // Through two vertices exactly: the diagonal x + y <= 1.
+  labels = {0, 1, 2, 3};
+  const HalfPlane diagonal(Vec2{1.0, 1.0}, 1.0);
+  poly = square.ClipHalfPlane(diagonal, &labels, 9);
+  EXPECT_EQ(poly.vertices(), square.ClipHalfPlane(diagonal).vertices());
+  ASSERT_EQ(poly.num_vertices(), 3u);
+  EXPECT_EQ(labels, (std::vector<uint32_t>{0, 9, 3}));
+
+  // A plane that misses leaves vertices and labels alone.
+  labels = {0, 1, 2, 3};
+  poly = square.ClipHalfPlane(HalfPlane(Vec2{1.0, 0.0}, 2.0), &labels, 5);
+  EXPECT_EQ(poly.vertices(), square.vertices());
+  EXPECT_EQ(labels, (std::vector<uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(ConvexPolygonEdgeTest, ClipLeavingSliverStillConvexAndPositive) {

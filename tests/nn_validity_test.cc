@@ -209,7 +209,7 @@ TEST(NnValidityTest, StatsAddUp) {
   const auto dataset = MakeUnitUniform(2000, 51);
   TreeFixture fx(dataset.entries, 64);
   NnValidityEngine engine(fx.tree.get(), kUnit);
-  engine.Query({0.3, 0.7}, 1);
+  engine.QueryTpnn({0.3, 0.7}, 1);
   const auto& stats = engine.stats();
   EXPECT_EQ(stats.tpnn_queries,
             stats.discovering_queries + stats.confirming_queries);

@@ -32,7 +32,7 @@ TEST(PaperPropertiesTest, Lemma32QueryCount) {
   Rng rng(202);
   for (int i = 0; i < 50; ++i) {
     const geo::Point q{rng.NextDouble(), rng.NextDouble()};
-    const NnValidityResult result = engine.Query(q, 1);
+    const NnValidityResult result = engine.QueryTpnn(q, 1);
     const auto& stats = engine.stats();
     EXPECT_EQ(stats.discovering_queries, result.influence_pairs().size());
     // Every vertex of the final region was confirmed by one TPNN query.
@@ -58,7 +58,7 @@ TEST(PaperPropertiesTest, TpnnPhaseCostsAboutTwelveQueries) {
   double nn_na = 0.0;
   double tpnn_na = 0.0;
   for (const geo::Point& q : queries) {
-    engine.Query(q, 1);
+    engine.QueryTpnn(q, 1);
     tpnn_count += static_cast<double>(engine.stats().tpnn_queries);
     nn_na += static_cast<double>(engine.stats().nn_node_accesses);
     tpnn_na += static_cast<double>(engine.stats().tpnn_node_accesses);
@@ -84,7 +84,7 @@ TEST(PaperPropertiesTest, BufferAbsorbsTpnnPageAccesses) {
   double tpnn_na = 0.0;
   double tpnn_pa = 0.0;
   for (const geo::Point& q : queries) {
-    engine.Query(q, 1);
+    engine.QueryTpnn(q, 1);
     tpnn_na += static_cast<double>(engine.stats().tpnn_node_accesses);
     tpnn_pa += static_cast<double>(engine.stats().tpnn_page_accesses);
   }

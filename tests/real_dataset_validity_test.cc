@@ -125,7 +125,7 @@ TEST_P(RealDatasetValidityTest, EngineTerminatesWithBoundedQueries) {
   const auto queries =
       workload::MakeDataDistributedQueries(dataset, 30, 7, 0.001);
   for (const geo::Point& q : queries) {
-    engine.Query(q, 1);
+    engine.QueryTpnn(q, 1);
     EXPECT_LT(engine.stats().tpnn_queries, 60u);
   }
 }

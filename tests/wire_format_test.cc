@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -64,6 +65,35 @@ TEST(WireFormatTest, NnResultRoundTripPreservesClientBehavior) {
       const geo::Point p{rng.NextDouble(), rng.NextDouble()};
       EXPECT_EQ(decoded.IsValidAt(p), original.IsValidAt(p));
     }
+  }
+}
+
+// The pair order on the wire is canonical — (displaced answer index,
+// incoming id) — so the bytes depend only on the answers and the pair
+// set: a result with its pairs permuted encodes to the same bytes, and a
+// decode/re-encode cycle reproduces them.
+TEST(WireFormatTest, NnPairOrderIsCanonical) {
+  const auto dataset = MakeUnitUniform(5000, 609);
+  TreeFixture fx(dataset.entries, 64, SmallNodeOptions());
+  NnValidityEngine engine(fx.tree.get(), kUnit);
+  Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    const geo::Point q{rng.NextDouble(), rng.NextDouble()};
+    const size_t k = 1 + rng.NextBounded(5);
+    const NnValidityResult original = engine.Query(q, k);
+    ASSERT_GT(original.influence_pairs().size(), 1u);
+    const auto bytes = EncodeNnResult(original).value();
+
+    std::vector<InfluencePair> pairs = original.influence_pairs();
+    std::reverse(pairs.begin(), pairs.end());
+    std::rotate(pairs.begin(), pairs.begin() + trial % pairs.size(),
+                pairs.end());
+    const NnValidityResult permuted(original.query(), original.universe(),
+                                    original.answers(), pairs,
+                                    original.region());
+    EXPECT_EQ(EncodeNnResult(permuted).value(), bytes);
+
+    EXPECT_EQ(EncodeNnResult(DecodeNnResult(bytes).value()).value(), bytes);
   }
 }
 

@@ -13,6 +13,10 @@ in the baseline file:
   window_validity_query / range_validity_query
                        same band shape for the full window/range
                        validity-region engine queries (min-of-repeats)
+  nn_validity_query_1 / nn_validity_query_10
+                       same band shape for the kNN miss path, the full
+                       k-NN validity-region query at k = 1 and k = 10
+                       (min-of-repeats BM_NnValidityQuery/1/ and /10/)
   net_cache_qps        the loadgen's cache-on end-to-end q/s must stay
                        above value * min_ratio
   batch4_qps           the 4-worker BatchServer's end-to-end q/s at the
@@ -71,6 +75,8 @@ def main():
     check_micro("knn_best_first_100", "BM_KnnBestFirst/100/")
     check_micro("window_validity_query", "BM_WindowValidityQuery/")
     check_micro("range_validity_query", "BM_RangeValidityQuery/")
+    check_micro("nn_validity_query_1", "BM_NnValidityQuery/1/")
+    check_micro("nn_validity_query_10", "BM_NnValidityQuery/10/")
 
     with open(f"{art_dir}/BENCH_net_loadgen.json") as f:
         loadgen = json.load(f)

@@ -25,8 +25,8 @@
 #           or a missing/malformed BENCH_*.json artifact (the numbers
 #           themselves are not gated here — a smoke box is too noisy
 #           for thresholds)
-#   bench-gate   micro BM_KnnBestFirst/100 + the window/range validity
-#           engine micros, churn, a quarter-scale
+#   bench-gate   micro BM_KnnBestFirst/100 + the kNN/window/range
+#           validity engine micros, churn, a quarter-scale
 #           net_loadgen and a quarter-scale throughput (batch-server
 #           q/s) compared against bench/baseline.json via
 #           tools/bench_gate.py; the baseline's bands are generous
@@ -163,7 +163,7 @@ stage_bench_gate() {
   dir="$(mktemp -d)" || return 1
   local ok=0
   LBSQ_BENCH_DIR="$dir" "$ROOT/build/bench/micro" \
-    '--benchmark_filter=BM_KnnBestFirst/100/|BM_WindowValidityQuery|BM_RangeValidityQuery' \
+    '--benchmark_filter=BM_KnnBestFirst/100/|BM_NnValidityQuery|BM_WindowValidityQuery|BM_RangeValidityQuery' \
     >/dev/null &&
     LBSQ_BENCH_DIR="$dir" LBSQ_ROUNDS=1 "$ROOT/build/bench/churn" \
       >/dev/null &&
