@@ -175,15 +175,19 @@ NnValidityResult NnValidityEngine::Query(const geo::Point& q, size_t k) {
 NnValidityResult NnValidityEngine::QueryTpnn(const geo::Point& q, size_t k) {
   LBSQ_CHECK(k > 0);
   LBSQ_CHECK(universe_.Contains(q));
+  // The paper's algorithm runs on the engine's own tree; an engine built
+  // on a backend has none.
+  LBSQ_CHECK(owned_.has_value());
+  const RTreeBackend& be = *owned_;
+  rtree::RTree& tree = *be.tree();
   stats_ = Stats();
 
   // Step (i): the answer set.
-  SpatialBackend* be = backend();
-  const uint64_t na_before = be->node_accesses();
-  const uint64_t pa_before = be->page_accesses();
-  std::vector<rtree::Neighbor> answers = be->Knn(q, k);
-  stats_.nn_node_accesses = be->node_accesses() - na_before;
-  stats_.nn_page_accesses = be->page_accesses() - pa_before;
+  const uint64_t na_before = be.node_accesses();
+  const uint64_t pa_before = be.page_accesses();
+  std::vector<rtree::Neighbor> answers = rtree::KnnBestFirst(tree, q, k);
+  stats_.nn_node_accesses = be.node_accesses() - na_before;
+  stats_.nn_page_accesses = be.page_accesses() - pa_before;
 
   geo::ConvexPolygon poly = geo::ConvexPolygon::FromRect(universe_);
   std::vector<InfluencePair> pairs;
@@ -201,7 +205,7 @@ NnValidityResult NnValidityEngine::QueryTpnn(const geo::Point& q, size_t k) {
                             std::move(poly));
   }
 
-  if (answers.size() < k || be->size() <= k) {
+  if (answers.size() < k || be.size() <= k) {
     // No outside objects exist: the result can never change inside the
     // universe.
     return NnValidityResult(q, universe_, std::move(answers), std::move(pairs),
@@ -211,8 +215,8 @@ NnValidityResult NnValidityEngine::QueryTpnn(const geo::Point& q, size_t k) {
   // Step (ii): shrink the polygon with TPNN/TPkNN queries until every
   // vertex is confirmed.
   VertexFlags flags(poly);
-  const uint64_t tp_na_before = be->node_accesses();
-  const uint64_t tp_pa_before = be->page_accesses();
+  const uint64_t tp_na_before = be.node_accesses();
+  const uint64_t tp_pa_before = be.page_accesses();
   while (true) {
     // A TP query hit a bad page: the influence set cannot be completed,
     // so stop refining (the partial region stays a superset-of-truth
@@ -237,13 +241,13 @@ NnValidityResult NnValidityEngine::QueryTpnn(const geo::Point& q, size_t k) {
     bool found = false;
     if (k == 1) {
       const tp::TpnnResult res =
-          be->Tpnn(q, dir, answers[0].entry.point, answers[0].entry.id);
+          tp::Tpnn(tree, q, dir, answers[0].entry.point, answers[0].entry.id);
       if (res.found) {
         found = true;
         pair = InfluencePair{res.object, answers[0].entry};
       }
     } else {
-      const tp::TpknnResult res = be->Tpknn(q, dir, answers);
+      const tp::TpknnResult res = tp::Tpknn(tree, q, dir, answers);
       if (res.found) {
         found = true;
         pair = InfluencePair{res.incoming, res.displaced};
@@ -273,8 +277,8 @@ NnValidityResult NnValidityEngine::QueryTpnn(const geo::Point& q, size_t k) {
     poly = clipped;
     flags = new_flags;
   }
-  stats_.tpnn_node_accesses = be->node_accesses() - tp_na_before;
-  stats_.tpnn_page_accesses = be->page_accesses() - tp_pa_before;
+  stats_.tpnn_node_accesses = be.node_accesses() - tp_na_before;
+  stats_.tpnn_page_accesses = be.page_accesses() - tp_pa_before;
 
   // Canonicalize: clipping can leave near-duplicate or collinear
   // vertices behind; the region (and its edge count) is the simplified

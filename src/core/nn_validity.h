@@ -51,9 +51,10 @@ class NnValidityEngine {
   // query point must lie inside it.
   NnValidityEngine(rtree::RTree* tree, const geo::Rect& universe);
 
-  // Runs over any SpatialBackend (e.g. a partition::FragmentRouter); the
-  // backend outlives the engine. Same algorithm, same answers — the
-  // validity region is a pure function of the exact query results.
+  // Runs Query and QueryOrdered over any SpatialBackend (e.g. a
+  // partition::FragmentRouter); the backend outlives the engine. Same
+  // algorithm, same answers — the validity region is a pure function of
+  // the exact query results. Such an engine has no QueryTpnn.
   NnValidityEngine(SpatialBackend* backend, const geo::Rect& universe);
 
   // Processes a location-based k-NN query at `q` with the nearest-first
@@ -63,7 +64,9 @@ class NnValidityEngine {
 
   // The same query by the paper's TPNN algorithm: the same answers, and
   // the same region and influence pairs up to the 1e-9 relative
-  // tolerance both algorithms ignore slivers at.
+  // tolerance both algorithms ignore slivers at. Runs on the tree given
+  // to the RTree* constructor (checked: calling it on an engine built on
+  // a backend is a programming error).
   NnValidityResult QueryTpnn(const geo::Point& q, size_t k);
 
   // Like Query, but the region additionally preserves the *ranking* of

@@ -10,39 +10,32 @@
 #include "geometry/rect.h"
 #include "rtree/knn.h"
 #include "rtree/rtree.h"
-#include "tp/tpnn.h"
 
-// The query surface the validity-region engines actually need from a
-// spatial index. The engines (nn_validity, window_validity,
-// range_validity) consume exactly five primitives — k-NN, the
-// nearest-first stream, window query, TPNN/TPkNN — plus the NA/PA
-// counters and the dataset cardinality.
+// The query surface serving needs from a spatial index. The served
+// validity-region engines (nn_validity, window_validity, range_validity)
+// consume exactly two query primitives — the nearest-first stream (k-NN)
+// and window query (window and range) — plus the NA/PA counters and the
+// dataset cardinality.
 // Abstracting them lets the same engine code run over a single R*-tree
 // (RTreeBackend below) or over K spatially sharded fragments behind a
 // router (partition::FragmentRouter), and the validity-region machinery
 // cannot tell the difference: regions are computed from exact answers,
-// wherever they come from.
+// wherever they come from. The paper's TPNN algorithm is not served: it
+// runs on one tree directly, not through this interface.
 //
 // Determinism contract (what makes partitioned wire bytes byte-identical
 // to the single-tree server's — see DESIGN.md "Partitioned serving"):
-//   * Knn returns exactly min(k, size()) neighbors ordered by
-//     (distance, id), ties at the k-th distance resolved toward the
-//     smaller id. rtree::KnnBestFirst already guarantees this, and it is
-//     independent of tree structure, so any backend that returns the
-//     true global top-k in that order is interchangeable.
 //   * BrowseNearest hands out objects in ascending (squared distance,
 //     id) order with nodes expanded before objects at equal distance
 //     (rtree::BrowseNearest), so the sequence — and hence where a
 //     shrinking stop radius cuts it — is a pure function of the data
-//     set, however it is split across trees.
+//     set, however it is split across trees. Its first k objects are
+//     rtree::KnnBestFirst(q, k) in ids, order and bits.
 //   * WindowQuery returns the matching entries in CANONICAL order —
 //     ascending (id, x, y) — NOT tree-traversal order. Traversal order
 //     leaks the tree's node layout into the wire encoding of window and
 //     range answers; the canonical sort makes the bytes a pure function
 //     of the data set. SortCanonical below is the shared definition.
-//   * Tpnn/Tpknn return the minimum-influence-time object with exact
-//     time ties broken toward the smaller incoming object id (tp.cc's
-//     Improves), which is already traversal-order independent.
 //
 // The backend is also the seam for the checked (untrusted-storage) query
 // path: DropBuffers purges any buffered pages after a read fault so a
@@ -63,10 +56,6 @@ class SpatialBackend {
   virtual uint64_t node_accesses() const = 0;
   virtual uint64_t page_accesses() const = 0;
 
-  // Exact k nearest neighbors of q (see the determinism contract above).
-  virtual std::vector<rtree::Neighbor> Knn(const geo::Point& q,
-                                           size_t k) = 0;
-
   // Streams the dataset's objects nearest-first from q into `visit`
   // until the squared stop radius it returns is reached (see
   // rtree::BrowseNearest and the determinism contract above).
@@ -76,13 +65,6 @@ class SpatialBackend {
   // All points inside `w` (closed containment), in canonical order.
   virtual void WindowQuery(const geo::Rect& w,
                            std::vector<rtree::DataEntry>* out) = 0;
-
-  // Time-parameterized NN / kNN primitives (tp/tpnn.h semantics).
-  virtual tp::TpnnResult Tpnn(const geo::Point& q, const geo::Vec2& l,
-                              const geo::Point& o, rtree::ObjectId o_id) = 0;
-  virtual tp::TpknnResult Tpknn(
-      const geo::Point& q, const geo::Vec2& l,
-      const std::vector<rtree::Neighbor>& answers) = 0;
 
   // Drops every buffered page (checked-path fault recovery).
   virtual void DropBuffers() = 0;
@@ -115,10 +97,6 @@ class RTreeBackend final : public SpatialBackend {
     return tree_->disk().read_count();
   }
 
-  std::vector<rtree::Neighbor> Knn(const geo::Point& q, size_t k) override {
-    return rtree::KnnBestFirst(*tree_, q, k);
-  }
-
   void BrowseNearest(const geo::Point& q,
                      const rtree::StreamVisitor& visit) override {
     const rtree::StreamSource source{tree_, 0.0};
@@ -129,16 +107,6 @@ class RTreeBackend final : public SpatialBackend {
                    std::vector<rtree::DataEntry>* out) override {
     tree_->WindowQuery(w, out);
     SortCanonical(out);
-  }
-
-  tp::TpnnResult Tpnn(const geo::Point& q, const geo::Vec2& l,
-                      const geo::Point& o, rtree::ObjectId o_id) override {
-    return tp::Tpnn(*tree_, q, l, o, o_id);
-  }
-  tp::TpknnResult Tpknn(
-      const geo::Point& q, const geo::Vec2& l,
-      const std::vector<rtree::Neighbor>& answers) override {
-    return tp::Tpknn(*tree_, q, l, answers);
   }
 
   void DropBuffers() override { tree_->buffer().Clear(); }

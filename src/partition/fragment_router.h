@@ -12,22 +12,12 @@
 #include "geometry/rect.h"
 #include "partition/str_partition.h"
 #include "rtree/rtree.h"
-#include "tp/tpnn.h"
 
 // Best-first cross-fragment router: a core::SpatialBackend over K
 // spatially sharded R*-trees. The validity-region engines run over it
 // unchanged and cannot tell it from a single tree, because every
 // primitive reproduces the single-tree answer exactly:
 //
-//   * Knn visits fragments in ascending mindist(q, fragment extent)
-//     order and merges per-fragment top-k lists under the global
-//     (distance, id) total order; the frontier stops as soon as the
-//     next fragment's mindist strictly exceeds the current k-th best
-//     distance (equality keeps going: a tie on the boundary could hide
-//     a smaller id). Since mindist-to-extent lower-bounds the distance
-//     of every point in the fragment — exactly the invariant single-tree
-//     best-first search uses per node — the merged result is the true
-//     global top-k in canonical order.
 //   * BrowseNearest runs one nearest-first stream whose heap starts
 //     with every non-empty fragment's root at mindist to the fragment's
 //     extent; nodes and objects of all fragments then share the heap's
@@ -35,9 +25,6 @@
 //     as one tree over the whole data set would hand them out.
 //   * WindowQuery fans out to the fragments whose extent intersects the
 //     window and re-sorts the union into the canonical (id, x, y) order.
-//   * Tpnn/Tpknn fan out to every non-empty fragment and merge under the
-//     same (time, incoming id) preference the single-tree search uses
-//     internally, so the winning influence pair is the global one.
 //
 // The routing table (per-fragment extent + cardinality) is the one piece
 // of mutable shared state: the serving layer refreshes it after routing
@@ -77,27 +64,16 @@ class FragmentRouter final : public core::SpatialBackend {
   size_t size() const override;
   uint64_t node_accesses() const override;
   uint64_t page_accesses() const override;
-  std::vector<rtree::Neighbor> Knn(const geo::Point& q, size_t k) override;
   void BrowseNearest(const geo::Point& q,
                      const rtree::StreamVisitor& visit) override;
   void WindowQuery(const geo::Rect& w,
                    std::vector<rtree::DataEntry>* out) override;
-  tp::TpnnResult Tpnn(const geo::Point& q, const geo::Vec2& l,
-                      const geo::Point& o, rtree::ObjectId o_id) override;
-  tp::TpknnResult Tpknn(
-      const geo::Point& q, const geo::Vec2& l,
-      const std::vector<rtree::Neighbor>& answers) override;
   void DropBuffers() override;
 
-  // Fragments touched by the last Knn call (frontier-stop telemetry).
-  size_t last_knn_fragments_visited() const {
-    return last_knn_fragments_visited_;
-  }
-
   // Cumulative fan-out telemetry: backend primitives routed and the
-  // fragments they actually visited (frontier stops, extent pruning and
-  // the stream's stop radius keep visited below K x primitives; a
-  // stream visits the fragments whose root it expands).
+  // fragments they actually visited (extent pruning and the stream's
+  // stop radius keep visited below K x primitives; a stream visits the
+  // fragments whose root it expands).
   // fanout_fragments / fanout_queries is the average fan-out a
   // thread-per-fragment split would pay per routed primitive.
   uint64_t fanout_queries() const { return fanout_queries_; }
@@ -118,7 +94,6 @@ class FragmentRouter final : public core::SpatialBackend {
   std::vector<RouteEntry> table_ LBSQ_GUARDED_BY(mu_);
   // Telemetry written by the (single-threaded) query path, like the
   // trees themselves — not part of the shared routing table.
-  size_t last_knn_fragments_visited_ LBSQ_EXCLUDED(mu_) = 0;
   uint64_t fanout_queries_ LBSQ_EXCLUDED(mu_) = 0;
   uint64_t fanout_fragments_ LBSQ_EXCLUDED(mu_) = 0;
 };

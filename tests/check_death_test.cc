@@ -2,11 +2,16 @@
 // with a diagnostic, and the bounds checks guarding serialization and
 // storage must actually fire on misuse.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
 #include "common/check.h"
+#include "core/nn_validity.h"
+#include "core/spatial_backend.h"
 #include "storage/page_manager.h"
+#include "tests/test_util.h"
 
 namespace lbsq {
 namespace {
@@ -62,6 +67,19 @@ TEST(CheckDeathTest, DoubleFreeAborts) {
         manager.Free(id);
       },
       "LBSQ_CHECK failed");
+}
+
+// The paper's TPNN algorithm runs on the engine's own tree; an engine
+// built on a backend serves Query only.
+TEST(CheckDeathTest, QueryTpnnWithoutTreeAborts) {
+  const std::vector<rtree::DataEntry> data = {{{0.25, 0.5}, 1},
+                                              {{0.75, 0.5}, 2}};
+  test::TreeFixture fx(data);
+  core::RTreeBackend backend(fx.tree.get());
+  core::NnValidityEngine engine(&backend, geo::Rect(0.0, 0.0, 1.0, 1.0));
+  EXPECT_EQ(engine.Query({0.5, 0.5}, 1).answers().size(), 1u);
+  EXPECT_DEATH(engine.QueryTpnn({0.5, 0.5}, 1),
+               "LBSQ_CHECK failed.*owned_.has_value");
 }
 
 }  // namespace

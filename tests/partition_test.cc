@@ -1,12 +1,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/semantic_cache.h"
+#include "common/rng.h"
 #include "core/spatial_backend.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
@@ -43,6 +47,28 @@ struct RouterFixture {
     router.emplace(std::move(trees), std::move(layout));
   }
 };
+
+// The first k objects of `backend`'s nearest-first stream: the k-NN
+// answers the serving engine takes from it.
+std::vector<rtree::Neighbor> FirstK(core::SpatialBackend& backend,
+                                    const geo::Point& q, size_t k) {
+  std::vector<rtree::Neighbor> out;
+  backend.BrowseNearest(q, [&](const rtree::Neighbor& n) {
+    out.push_back(n);
+    return out.size() < k ? std::numeric_limits<double>::infinity() : 0.0;
+  });
+  return out;
+}
+
+// Ids in answer order, each with its distance (compared bit for bit).
+std::vector<std::pair<rtree::ObjectId, double>> Ranked(
+    const std::vector<rtree::Neighbor>& neighbors) {
+  std::vector<std::pair<rtree::ObjectId, double>> out;
+  for (const rtree::Neighbor& n : neighbors) {
+    out.push_back({n.entry.id, n.distance});
+  }
+  return out;
+}
 
 TEST(PartitionLayoutTest, TilesUniverseAndRoutesConsistently) {
   const auto dataset = workload::MakeUnitUniform(4000, 31);
@@ -91,17 +117,62 @@ TEST(PartitionLayoutTest, StrictOwnershipRejectsSharedEdges) {
 }
 
 TEST(FragmentRouterTest, KnnMatchesSingleTreeOnClusteredData) {
-  const auto dataset =
-      workload::MakeClustered(5000, kUnit, 8, 1.1, 0.01, 0.05, 0.1, 41);
-  TreeFixture single(dataset.entries, 256);
-  RouterFixture sharded(dataset.entries, kUnit, 4);
+  // Clustered data, and a 64x64 integer lattice whose queries on lattice
+  // points and cell centres tie four ways, often across a fragment
+  // boundary: the router's stream must break every tie by id as one
+  // tree does.
+  struct DataSet {
+    std::string name;
+    std::vector<rtree::DataEntry> entries;
+    geo::Rect universe;
+    std::vector<geo::Point> queries;
+  };
+  Rng rng(46);
+  DataSet clustered{
+      "clustered",
+      workload::MakeClustered(5000, kUnit, 8, 1.1, 0.01, 0.05, 0.1, 41)
+          .entries,
+      kUnit,
+      {}};
   for (size_t i = 0; i < 200; ++i) {
-    const geo::Point q{(i % 20) * 0.05 + 0.007, (i / 20) * 0.1 + 0.013};
-    for (size_t k : {1u, 4u, 10u}) {
-      const auto expect = rtree::KnnBestFirst(*single.tree, q, k);
-      const auto got = sharded.router->Knn(q, k);
-      ASSERT_EQ(test::Ids(expect), test::Ids(got)) << "q " << i << " k " << k;
-      ASSERT_GE(sharded.router->last_knn_fragments_visited(), 1u);
+    clustered.queries.push_back(
+        {(i % 20) * 0.05 + 0.007, (i / 20) * 0.1 + 0.013});
+  }
+  for (size_t i = 0; i < 100; ++i) {
+    clustered.queries.push_back({rng.NextDouble(), rng.NextDouble()});
+  }
+  DataSet lattice{"lattice", {}, geo::Rect(0.0, 0.0, 63.0, 63.0), {}};
+  rtree::ObjectId id = 0;
+  for (int x = 0; x < 64; ++x) {
+    for (int y = 0; y < 64; ++y) {
+      lattice.entries.push_back(
+          {{static_cast<double>(x), static_cast<double>(y)}, id++});
+    }
+  }
+  for (size_t i = 0; i < 100; ++i) {
+    const double x = static_cast<double>(rng.NextBounded(64));
+    const double y = static_cast<double>(rng.NextBounded(64));
+    lattice.queries.push_back({x, y});
+    lattice.queries.push_back(
+        {std::min(x, 62.0) + 0.5, std::min(y, 62.0) + 0.5});
+    lattice.queries.push_back({rng.Uniform(0.0, 63.0), rng.Uniform(0.0, 63.0)});
+  }
+
+  for (const DataSet* set : {&clustered, &lattice}) {
+    TreeFixture single(set->entries, 256);
+    for (size_t fragments : {2u, 4u, 8u}) {
+      RouterFixture sharded(set->entries, set->universe, fragments);
+      for (size_t i = 0; i < set->queries.size(); ++i) {
+        const geo::Point& q = set->queries[i];
+        for (size_t k : {1u, 4u, 10u}) {
+          const uint64_t opened = sharded.router->fanout_fragments();
+          const auto expect = rtree::KnnBestFirst(*single.tree, q, k);
+          const auto got = FirstK(*sharded.router, q, k);
+          ASSERT_EQ(Ranked(expect), Ranked(got))
+              << set->name << " K " << fragments << " q " << i << " k " << k;
+          ASSERT_GE(sharded.router->fanout_fragments() - opened, 1u);
+        }
+      }
     }
   }
 }
@@ -120,10 +191,11 @@ TEST(FragmentRouterTest, FrontierStopsBeforeFarFragments) {
   TreeFixture single(entries, 64);
   RouterFixture sharded(entries, kUnit, 4);
   const geo::Point q{0.1, 0.1};
+  const uint64_t opened = sharded.router->fanout_fragments();
   const auto expect = rtree::KnnBestFirst(*single.tree, q, 5);
-  const auto got = sharded.router->Knn(q, 5);
-  EXPECT_EQ(test::Ids(expect), test::Ids(got));
-  EXPECT_LT(sharded.router->last_knn_fragments_visited(), 4u);
+  const auto got = FirstK(*sharded.router, q, 5);
+  EXPECT_EQ(Ranked(expect), Ranked(got));
+  EXPECT_LT(sharded.router->fanout_fragments() - opened, 4u);
 }
 
 TEST(FragmentRouterTest, DegenerateSingleFragmentMatchesTree) {
@@ -133,7 +205,8 @@ TEST(FragmentRouterTest, DegenerateSingleFragmentMatchesTree) {
   core::RTreeBackend oracle(single.tree.get());
 
   const geo::Point q{0.4, 0.6};
-  EXPECT_EQ(test::Ids(oracle.Knn(q, 7)), test::Ids(sharded.router->Knn(q, 7)));
+  EXPECT_EQ(Ranked(rtree::KnnBestFirst(*single.tree, q, 7)),
+            Ranked(FirstK(*sharded.router, q, 7)));
 
   std::vector<rtree::DataEntry> expect, got;
   const geo::Rect w{0.2, 0.2, 0.5, 0.7};
@@ -173,13 +246,12 @@ TEST(FragmentRouterTest, KnnTieOnFragmentBisectorPrefersSmallerId) {
             sharded.router->OwnerOf({0.75, 0.5}));
 
   const geo::Point q{0.5, 0.5};  // exactly 0.25 from both candidates
-  const auto got = sharded.router->Knn(q, 1);
+  const auto got = FirstK(*sharded.router, q, 1);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].entry.id, 3u);
-  EXPECT_EQ(test::Ids(rtree::KnnBestFirst(*single.tree, q, 1)),
-            test::Ids(got));
+  EXPECT_EQ(Ranked(rtree::KnnBestFirst(*single.tree, q, 1)), Ranked(got));
   // Both tie candidates must appear, ordered by id, for k = 2.
-  const auto both = sharded.router->Knn(q, 2);
+  const auto both = FirstK(*sharded.router, q, 2);
   ASSERT_EQ(both.size(), 2u);
   EXPECT_EQ(both[0].entry.id, 3u);
   EXPECT_EQ(both[1].entry.id, 9u);

@@ -200,12 +200,6 @@ for s in "${STAGES[@]}"; do
 done
 
 printf '\n== summary ==\n'
-# The serving benchmark's own determinism self-test; it builds
-# servebench/ against the checkout's src/ in .bench_build/.
-stage_servebench() {
-  python3 "$ROOT/servebench/test_determinism.py"
-}
-
 for s in "${STAGES[@]}"; do
   printf '%-20s %s\n' "$s" "${RESULT[$s]}"
 done
