@@ -4,6 +4,7 @@
 // query radius, on uniform data.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/range_validity.h"
@@ -27,12 +28,16 @@ int main() {
   for (double radius : {0.005, 0.01, 0.02, 0.05, 0.1}) {
     double result_size = 0.0, area = 0.0, inner = 0.0, outer = 0.0;
     double na1 = 0.0, na2 = 0.0;
+    std::vector<size_t> cut_inner, cut_outer;
     for (const geo::Point& q : queries) {
       const auto result = engine.Query(q, radius);
       result_size += static_cast<double>(result.result().size());
       area += result.region().Area(128);
-      inner += static_cast<double>(result.inner_influencers().size());
-      outer += static_cast<double>(result.outer_influencers().size());
+      // Influence objects of the conservative polygon a thin client
+      // derives from the region.
+      result.region().ConservativePolygon(q, 16, &cut_inner, &cut_outer);
+      inner += static_cast<double>(cut_inner.size());
+      outer += static_cast<double>(cut_outer.size());
       na1 += static_cast<double>(engine.stats().result_node_accesses);
       na2 += static_cast<double>(engine.stats().influence_node_accesses);
     }

@@ -208,7 +208,7 @@ geo::Rect SemanticCache::KillFootprint(const Entry& entry) const {
 
 bool SemanticCache::Lookup(Kind kind, double a, double b, const geo::Point& p,
                            CachedBytes* out) {
-  ++lookups_;
+  ++counters_.lookups;
   std::vector<uint64_t>& cell = cells_[CellIndex(CellX(p.x), CellY(p.y))];
   // First covering entry wins: any covering entry is an equally valid
   // answer for a client at p, so there is nothing to rank.
@@ -226,14 +226,14 @@ bool SemanticCache::Lookup(Kind kind, double a, double b, const geo::Point& p,
     if (entry_it->kind == kind && entry_it->param_a == a &&
         entry_it->param_b == b && Covers(*entry_it, p)) {
       entries_.splice(entries_.begin(), entries_, entry_it);  // touch
-      ++hits_;
-      hit_bytes_ += entry_it->bytes->size();
+      ++counters_.hits;
+      counters_.hit_bytes += entry_it->bytes->size();
       *out = entry_it->bytes;
       return true;
     }
     ++i;
   }
-  ++misses_;
+  ++counters_.misses;
   return false;
 }
 
@@ -287,7 +287,7 @@ void SemanticCache::Insert(Entry entry, const geo::Rect& bounds) {
   const geo::Rect clipped = bounds.Intersection(universe_);
   if (clipped.IsEmpty() || entry.charge > config_.max_bytes ||
       config_.max_entries == 0) {
-    ++rejected_;
+    ++counters_.rejected;
     return;
   }
   entry.bounds = clipped;
@@ -308,7 +308,7 @@ void SemanticCache::Insert(Entry entry, const geo::Rect& bounds) {
                    (entry.ix1 - entry.ix0 + 1) * (entry.iy1 - entry.iy0 + 1)) *
                   sizeof(uint64_t);
   if (entry.charge > config_.max_bytes) {
-    ++rejected_;
+    ++counters_.rejected;
     return;
   }
   entry.id = next_id_++;
@@ -317,7 +317,7 @@ void SemanticCache::Insert(Entry entry, const geo::Rect& bounds) {
   entries_.push_front(std::move(entry));
   index_.emplace(entries_.front().id, entries_.begin());
   AddToGrid(entries_.front());
-  ++inserts_;
+  ++counters_.inserts;
   EvictOverBudget();
 }
 
@@ -387,7 +387,7 @@ void SemanticCache::EraseFromCell(std::vector<uint64_t>& cell, uint64_t id) {
     // non-binding request. Live iterations index the cell vector object,
     // not its buffer, so reallocating here is safe.
     std::vector<uint64_t>(cell.begin(), cell.end()).swap(cell);
-    ++cell_compactions_;
+    ++counters_.cell_compactions;
   }
 }
 
@@ -412,13 +412,13 @@ void SemanticCache::RemoveEntry(EntryList::iterator it, RemoveCause cause) {
   entries_.erase(it);
   switch (cause) {
     case RemoveCause::kEvicted:
-      ++evictions_;
+      ++counters_.evictions;
       break;
     case RemoveCause::kStale:
-      ++stale_drops_;
+      ++counters_.stale_drops;
       break;
     case RemoveCause::kUpdate:
-      ++entries_invalidated_by_update_;
+      ++counters_.entries_invalidated_by_update;
       break;
   }
 }
@@ -464,7 +464,7 @@ size_t SemanticCache::InvalidateAt(const geo::Point& p, UpdateKind kind) {
 
 void SemanticCache::Invalidate() {
   ++epoch_;
-  ++epoch_invalidations_;
+  ++counters_.epoch_invalidations;
 }
 
 size_t SemanticCache::Scrub() {
@@ -489,27 +489,12 @@ void SemanticCache::Clear() {
 }
 
 CacheStats SemanticCache::stats() const {
-  CacheStats stats;
-  stats.lookups = lookups_;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.inserts = inserts_;
-  stats.evictions = evictions_;
-  stats.epoch_invalidations = epoch_invalidations_;
-  stats.entries_invalidated_by_update = entries_invalidated_by_update_;
-  stats.stale_drops = stale_drops_;
-  stats.rejected = rejected_;
-  stats.hit_bytes = hit_bytes_;
-  stats.cell_compactions = cell_compactions_;
+  CacheStats stats = counters_;
   stats.entries = entries_.size();
   stats.bytes = bytes_;
   return stats;
 }
 
-void SemanticCache::ResetCounters() {
-  lookups_ = hits_ = misses_ = inserts_ = evictions_ = 0;
-  epoch_invalidations_ = entries_invalidated_by_update_ = 0;
-  stale_drops_ = rejected_ = hit_bytes_ = cell_compactions_ = 0;
-}
+void SemanticCache::ResetCounters() { counters_ = {}; }
 
 }  // namespace lbsq::cache

@@ -94,6 +94,24 @@ struct CacheStats {
   uint64_t cell_compactions = 0;  // grid cell lists shrunk after churn
   size_t entries = 0;
   size_t bytes = 0;
+
+  // Field-wise sum, for totals over several caches.
+  CacheStats& operator+=(const CacheStats& o) {
+    lookups += o.lookups;
+    hits += o.hits;
+    misses += o.misses;
+    inserts += o.inserts;
+    evictions += o.evictions;
+    epoch_invalidations += o.epoch_invalidations;
+    entries_invalidated_by_update += o.entries_invalidated_by_update;
+    stale_drops += o.stale_drops;
+    rejected += o.rejected;
+    hit_bytes += o.hit_bytes;
+    cell_compactions += o.cell_compactions;
+    entries += o.entries;
+    bytes += o.bytes;
+    return *this;
+  }
 };
 
 // One bisector constraint of a k-NN validity cell: the position is valid
@@ -309,18 +327,8 @@ class SemanticCache {
   std::vector<std::vector<uint64_t>> cells_;
   std::vector<std::vector<uint64_t>> inval_cells_;
 
-  // Counters (see CacheStats).
-  uint64_t lookups_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t inserts_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t epoch_invalidations_ = 0;
-  uint64_t entries_invalidated_by_update_ = 0;
-  uint64_t stale_drops_ = 0;
-  uint64_t rejected_ = 0;
-  uint64_t hit_bytes_ = 0;
-  uint64_t cell_compactions_ = 0;
+  // The cumulative counters; stats() fills in entries and bytes.
+  CacheStats counters_;
 };
 
 }  // namespace lbsq::cache

@@ -6,6 +6,7 @@
 
 #include "core/server.h"
 #include "core/validity_region.h"
+#include "geometry/convex_polygon.h"
 #include "geometry/point.h"
 #include "rtree/rtree.h"
 
@@ -132,13 +133,17 @@ class MobileRangeClient {
   const std::vector<rtree::DataEntry>& MoveTo(const geo::Point& p) {
     bool valid = has_result_ && mode_ != Mode::kAlwaysQuery;
     if (valid) {
-      valid = mode_ == Mode::kConservativeRegion
-                  ? result_.IsValidAtConservative(p)
-                  : result_.IsValidAt(p);
+      valid = mode_ == Mode::kConservativeRegion ? conservative_.Contains(p)
+                                                 : result_.IsValidAt(p);
     }
     last_cached_ = valid;
     if (!valid) {
       result_ = server_->RangeQuery(p, radius_);
+      // A thin client tests only the convex polygon it derives once per
+      // fresh answer, not the arc-bounded region.
+      if (mode_ == Mode::kConservativeRegion) {
+        conservative_ = result_.region().ConservativePolygon(p);
+      }
       has_result_ = true;
       ++server_queries_;
     }
@@ -157,6 +162,7 @@ class MobileRangeClient {
   double radius_;
   Mode mode_;
   RangeValidityResult result_;
+  geo::ConvexPolygon conservative_;  // kConservativeRegion mode only
   bool has_result_ = false;
   bool last_cached_ = false;
   size_t server_queries_ = 0;

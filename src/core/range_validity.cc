@@ -10,6 +10,10 @@ namespace lbsq::core {
 
 namespace {
 
+// Caps the region at this many radii around the focus, as the window
+// engine caps its region: it bounds the cost of empty-result queries.
+constexpr double kMaxExtentFactor = 16.0;
+
 // Per-thread SoA scratch for the distance filters below. This TU is
 // compiled with LBSQ_SIMD_COMPILE_OPTIONS (see src/core/CMakeLists.txt):
 // the mask pass is a branch-free map over contiguous coordinate arrays
@@ -60,30 +64,16 @@ struct DistScratch {
 
 RangeValidityEngine::RangeValidityEngine(rtree::RTree* tree,
                                          const geo::Rect& universe)
-    : RangeValidityEngine(tree, universe, Options()) {}
-
-RangeValidityEngine::RangeValidityEngine(rtree::RTree* tree,
-                                         const geo::Rect& universe,
-                                         const Options& options)
-    : owned_(RTreeBackend(tree)), universe_(universe), options_(options) {
+    : owned_(RTreeBackend(tree)), universe_(universe) {
   LBSQ_CHECK(tree != nullptr);
   LBSQ_CHECK(!universe.IsEmpty());
-  LBSQ_CHECK(options.max_extent_factor >= 1.0);
-  LBSQ_CHECK(options.arc_vertices >= 4);
 }
 
 RangeValidityEngine::RangeValidityEngine(SpatialBackend* backend,
                                          const geo::Rect& universe)
-    : RangeValidityEngine(backend, universe, Options()) {}
-
-RangeValidityEngine::RangeValidityEngine(SpatialBackend* backend,
-                                         const geo::Rect& universe,
-                                         const Options& options)
-    : external_(backend), universe_(universe), options_(options) {
+    : external_(backend), universe_(universe) {
   LBSQ_CHECK(backend != nullptr);
   LBSQ_CHECK(!universe.IsEmpty());
-  LBSQ_CHECK(options.max_extent_factor >= 1.0);
-  LBSQ_CHECK(options.arc_vertices >= 4);
 }
 
 RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
@@ -94,7 +84,7 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
 
   // Step 1: the range query — a window query over the bounding box of
   // the disk, filtered by true distance. The backend's canonical entry
-  // order makes the result and influencer lists (and so the wire bytes)
+  // order makes the result and the outer disks (and so the wire bytes)
   // independent of the tree layout.
   SpatialBackend* be = backend();
   const uint64_t na_before = be->node_accesses();
@@ -117,7 +107,7 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
   // Bounding rectangle of the region: inside every inner disk the focus
   // can stray at most 2 * radius from its start (triangle inequality),
   // and the engine caps empty-result regions like the window engine.
-  const double cap = options_.max_extent_factor * radius;
+  const double cap = kMaxExtentFactor * radius;
   const double reach = result.empty() ? cap : 2.0 * radius;
   const geo::Rect bounds = universe_.Intersection(
       geo::Rect::Centered(focus, std::min(cap, reach), std::min(cap, reach)));
@@ -138,39 +128,19 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
 
   // Same mask, inverted selection: everything beyond the radius is an
   // outer candidate disk.
-  std::vector<rtree::DataEntry> outer_objects;
   std::vector<geo::DiskRegion::Disk> outer;
   {
     const size_t n = scratch.DistanceMask(candidates, focus, r_sq);
     const size_t m = scratch.Stage(n, 0);
-    outer_objects.reserve(m);
     outer.reserve(m);
     for (size_t j = 0; j < m; ++j) {
-      const rtree::DataEntry& e = candidates[scratch.idx[j]];
-      outer_objects.push_back(e);
-      outer.push_back({e.point, radius});
+      outer.push_back({candidates[scratch.idx[j]].point, radius});
     }
   }
 
-  geo::DiskRegion region(bounds, std::move(inner), std::move(outer));
-  std::vector<size_t> cut_inner;
-  std::vector<size_t> cut_outer;
-  geo::ConvexPolygon conservative = region.ConservativePolygon(
-      focus, options_.arc_vertices, &cut_inner, &cut_outer);
-
-  std::vector<rtree::DataEntry> inner_influencers;
-  inner_influencers.reserve(cut_inner.size());
-  for (const size_t i : cut_inner) inner_influencers.push_back(result[i]);
-  std::vector<rtree::DataEntry> outer_influencers;
-  outer_influencers.reserve(cut_outer.size());
-  for (const size_t i : cut_outer) {
-    outer_influencers.push_back(outer_objects[i]);
-  }
-
-  return RangeValidityResult(focus, radius, std::move(result),
-                             std::move(inner_influencers),
-                             std::move(outer_influencers), std::move(region),
-                             std::move(conservative));
+  return RangeValidityResult(
+      focus, radius, std::move(result),
+      geo::DiskRegion(bounds, std::move(inner), std::move(outer)));
 }
 
 }  // namespace lbsq::core

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/spatial_backend.h"
-#include "geometry/convex_polygon.h"
 #include "geometry/disk_region.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
@@ -27,66 +26,32 @@ class RangeValidityResult {
   RangeValidityResult() = default;
   RangeValidityResult(geo::Point focus, double radius,
                       std::vector<rtree::DataEntry> result,
-                      std::vector<rtree::DataEntry> inner_influencers,
-                      std::vector<rtree::DataEntry> outer_influencers,
-                      geo::DiskRegion region, geo::ConvexPolygon conservative)
+                      geo::DiskRegion region)
       : focus_(focus),
         radius_(radius),
         result_(std::move(result)),
-        inner_influencers_(std::move(inner_influencers)),
-        outer_influencers_(std::move(outer_influencers)),
-        region_(std::move(region)),
-        conservative_(std::move(conservative)) {}
+        region_(std::move(region)) {}
 
   const geo::Point& focus() const { return focus_; }
   double radius() const { return radius_; }
   const std::vector<rtree::DataEntry>& result() const { return result_; }
 
-  // Influence objects of the conservative representation: result members
-  // whose distance constraint shapes the region, and outer objects whose
-  // disk trims it.
-  const std::vector<rtree::DataEntry>& inner_influencers() const {
-    return inner_influencers_;
-  }
-  const std::vector<rtree::DataEntry>& outer_influencers() const {
-    return outer_influencers_;
-  }
-  size_t InfluenceSetSize() const {
-    return inner_influencers_.size() + outer_influencers_.size();
-  }
-
-  // Exact arc-bounded region and its conservative convex polygon.
+  // Exact arc-bounded region: what the wire carries and the cache keys
+  // on. A thin client derives its conservative convex polygon from it
+  // with DiskRegion::ConservativePolygon.
   const geo::DiskRegion& region() const { return region_; }
-  const geo::ConvexPolygon& conservative_region() const {
-    return conservative_;
-  }
 
   bool IsValidAt(const geo::Point& p) const { return region_.Contains(p); }
-  bool IsValidAtConservative(const geo::Point& p) const {
-    return conservative_.Contains(p);
-  }
 
  private:
   geo::Point focus_;
   double radius_ = 0.0;
   std::vector<rtree::DataEntry> result_;
-  std::vector<rtree::DataEntry> inner_influencers_;
-  std::vector<rtree::DataEntry> outer_influencers_;
   geo::DiskRegion region_;
-  geo::ConvexPolygon conservative_;
 };
 
 class RangeValidityEngine {
  public:
-  struct Options {
-    // Caps the region at this many radii around the focus (analogous to
-    // the window engine's cap; bounds the cost of empty-result queries).
-    double max_extent_factor = 16.0;
-    // Vertices of the inscribed polygons approximating inner arcs in the
-    // conservative region.
-    size_t arc_vertices = 16;
-  };
-
   struct Stats {
     uint64_t result_node_accesses = 0;
     uint64_t influence_node_accesses = 0;
@@ -94,12 +59,8 @@ class RangeValidityEngine {
   };
 
   RangeValidityEngine(rtree::RTree* tree, const geo::Rect& universe);
-  RangeValidityEngine(rtree::RTree* tree, const geo::Rect& universe,
-                      const Options& options);
   // Runs over any SpatialBackend (the backend outlives the engine).
   RangeValidityEngine(SpatialBackend* backend, const geo::Rect& universe);
-  RangeValidityEngine(SpatialBackend* backend, const geo::Rect& universe,
-                      const Options& options);
 
   // All objects within distance `radius` of `focus` (closed), plus the
   // validity region of that answer.
@@ -116,7 +77,6 @@ class RangeValidityEngine {
   std::optional<RTreeBackend> owned_;   // set by the RTree* constructors
   SpatialBackend* external_ = nullptr;  // set by the backend constructors
   geo::Rect universe_;
-  Options options_;
   Stats stats_;
 };
 

@@ -211,20 +211,7 @@ void ServingPipeline::EnableCache(const cache::CacheConfig& config) {
 cache::CacheStats ServingPipeline::cache_stats() const {
   cache::CacheStats total;
   for (const std::unique_ptr<cache::SemanticCache>& c : caches_) {
-    const cache::CacheStats s = c->stats();
-    total.lookups += s.lookups;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.inserts += s.inserts;
-    total.evictions += s.evictions;
-    total.epoch_invalidations += s.epoch_invalidations;
-    total.entries_invalidated_by_update += s.entries_invalidated_by_update;
-    total.stale_drops += s.stale_drops;
-    total.rejected += s.rejected;
-    total.hit_bytes += s.hit_bytes;
-    total.cell_compactions += s.cell_compactions;
-    total.entries += s.entries;
-    total.bytes += s.bytes;
+    total += c->stats();
   }
   return total;
 }

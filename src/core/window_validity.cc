@@ -11,6 +11,15 @@ namespace lbsq::core {
 
 namespace {
 
+// Caps the validity region at this many window half-extents around the
+// focus. Without a cap, a window with an empty (or one-sided) result in
+// a sparse area yields an inner rectangle covering most of the universe,
+// and the marginal query degenerates into a full scan with every point
+// an "outer influence object". The capped region is still a correct
+// (just not maximal) validity region; 16 window radii is far beyond the
+// region sizes the paper measures, so dense-area results are unaffected.
+constexpr double kMaxExtentFactor = 16.0;
+
 // Per-thread SoA scratch for the candidate filter below. This TU is
 // compiled with LBSQ_SIMD_COMPILE_OPTIONS (see src/core/CMakeLists.txt)
 // so the mask pass autovectorizes; the engines are call-and-return, so
@@ -26,28 +35,16 @@ struct FilterScratch {
 
 WindowValidityEngine::WindowValidityEngine(rtree::RTree* tree,
                                            const geo::Rect& universe)
-    : WindowValidityEngine(tree, universe, Options()) {}
-
-WindowValidityEngine::WindowValidityEngine(rtree::RTree* tree,
-                                           const geo::Rect& universe,
-                                           const Options& options)
-    : owned_(RTreeBackend(tree)), universe_(universe), options_(options) {
+    : owned_(RTreeBackend(tree)), universe_(universe) {
   LBSQ_CHECK(tree != nullptr);
   LBSQ_CHECK(!universe.IsEmpty());
-  LBSQ_CHECK(options.max_extent_factor >= 1.0);
 }
 
 WindowValidityEngine::WindowValidityEngine(SpatialBackend* backend,
                                            const geo::Rect& universe)
-    : WindowValidityEngine(backend, universe, Options()) {}
-
-WindowValidityEngine::WindowValidityEngine(SpatialBackend* backend,
-                                           const geo::Rect& universe,
-                                           const Options& options)
-    : external_(backend), universe_(universe), options_(options) {
+    : external_(backend), universe_(universe) {
   LBSQ_CHECK(backend != nullptr);
   LBSQ_CHECK(!universe.IsEmpty());
-  LBSQ_CHECK(options.max_extent_factor >= 1.0);
 }
 
 WindowValidityResult WindowValidityEngine::Query(const geo::Point& focus,
@@ -70,9 +67,8 @@ WindowValidityResult WindowValidityEngine::Query(const geo::Point& focus,
   stats_.result_node_accesses = be->node_accesses() - na_before;
   stats_.result_page_accesses = be->page_accesses() - pa_before;
 
-  const double f = options_.max_extent_factor;
-  geo::Rect inner =
-      universe_.Intersection(geo::Rect::Centered(focus, f * hx, f * hy));
+  geo::Rect inner = universe_.Intersection(geo::Rect::Centered(
+      focus, kMaxExtentFactor * hx, kMaxExtentFactor * hy));
   for (const rtree::DataEntry& e : result) {
     inner = inner.Intersection(geo::Rect::Centered(e.point, hx, hy));
   }

@@ -27,18 +27,6 @@ namespace lbsq::core {
 
 class WindowValidityEngine {
  public:
-  struct Options {
-    // Caps the validity region at `max_extent_factor` window half-extents
-    // around the focus. Without a cap, a window with an empty (or
-    // one-sided) result in a sparse area yields an inner rectangle
-    // covering most of the universe, and the marginal query degenerates
-    // into a full scan with every point an "outer influence object". The
-    // capped region is still a correct (just not maximal) validity
-    // region; 16 window radii is far beyond the region sizes the paper
-    // measures, so dense-area results are unaffected.
-    double max_extent_factor = 16.0;
-  };
-
   struct Stats {
     // Counts for the last Query call.
     uint64_t result_node_accesses = 0;     // NA of the result query
@@ -49,12 +37,8 @@ class WindowValidityEngine {
   };
 
   WindowValidityEngine(rtree::RTree* tree, const geo::Rect& universe);
-  WindowValidityEngine(rtree::RTree* tree, const geo::Rect& universe,
-                       const Options& options);
   // Runs over any SpatialBackend (the backend outlives the engine).
   WindowValidityEngine(SpatialBackend* backend, const geo::Rect& universe);
-  WindowValidityEngine(SpatialBackend* backend, const geo::Rect& universe,
-                       const Options& options);
 
   // Location-based window query: window of half-extents (hx, hy) centered
   // at `focus`. Requires focus inside the universe and positive extents.
@@ -71,7 +55,6 @@ class WindowValidityEngine {
   std::optional<RTreeBackend> owned_;   // set by the RTree* constructors
   SpatialBackend* external_ = nullptr;  // set by the backend constructors
   geo::Rect universe_;
-  Options options_;
   Stats stats_;
 };
 

@@ -310,14 +310,14 @@ StatusOr<RangeValidityResult> DecodeRangeResult(
   }
   geo::DiskRegion region(bounds, std::move(inner), std::move(outer));
   // In a genuine answer the focus lies in its own validity region; a
-  // mutated message can break that, and ConservativePolygon's contract
-  // (an internal CHECK) requires it — reject instead of aborting.
+  // mutated message can break that. A client that derives the
+  // conservative polygon from the region requires it (an internal
+  // CHECK), so reject here rather than let that client abort.
   if (!region.Contains(focus)) {
     return Status::InvalidArgument("focus outside decoded validity region");
   }
-  geo::ConvexPolygon conservative = region.ConservativePolygon(focus);
-  return RangeValidityResult(focus, radius, std::move(result), {}, {},
-                             std::move(region), std::move(conservative));
+  return RangeValidityResult(focus, radius, std::move(result),
+                             std::move(region));
 }
 
 size_t PlainNnAnswerBytes(size_t k) {

@@ -20,7 +20,8 @@
 //                  sorted by (displaced answer index, incoming id)
 //   window answer: focus, half-extents, result (point+id), conservative
 //                  rectangle, holes of the exact region
-//   range answer:  focus, radius, result (point+id), influence objects
+//   range answer:  focus, radius, result (point+id), bounding rectangle
+//                  and outer-disk centres of the exact region
 //
 // Decoded answers reconstruct objects that behave identically for
 // client-side purposes (IsValidAt, answers/result); server-only

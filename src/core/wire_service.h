@@ -23,7 +23,7 @@ namespace lbsq::core {
 // reports a single implicit fragment via ServiceInfo::fragments being
 // empty; a partitioned server reports one entry per fragment.
 struct FragmentStat {
-  geo::Rect mbr;  // conservative bounding box of the fragment's points
+  geo::Rect mbr;  // bounding box of the fragment's points (empty iff none)
   uint64_t points = 0;         // points currently owned by the fragment
   uint64_t cache_lookups = 0;  // semantic-cache probes routed here
   uint64_t cache_hits = 0;     // of which answered from the cache

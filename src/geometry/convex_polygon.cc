@@ -29,14 +29,18 @@ double ConvexPolygon::Area() const {
 bool ConvexPolygon::Contains(const Point& p) const {
   if (IsEmpty()) return false;
   // For CCW polygons, p is inside iff it is on the left of (or on) every
-  // directed edge. The tolerance scales with the edge length so that
-  // points exactly on long edges are not rejected by rounding noise.
+  // directed edge. cross is |edge| times p's signed distance from the
+  // edge's line, so the tolerance is a distance of 1e-12 at the
+  // coordinates' scale, times |edge|: points exactly on an edge are not
+  // rejected by rounding noise, and no point farther out is accepted,
+  // however short the edge.
   for (size_t i = 0; i < vertices_.size(); ++i) {
     const Point& a = vertices_[i];
     const Point& b = vertices_[(i + 1) % vertices_.size()];
     const Vec2 edge = b - a;
     const double cross = edge.Cross(p - a);
-    if (cross < -1e-12 * (1.0 + edge.Norm())) return false;
+    const double scale = 1.0 + std::abs(a.x) + std::abs(a.y);
+    if (cross < -1e-12 * scale * edge.Norm()) return false;
   }
   return true;
 }

@@ -38,8 +38,9 @@ class ConvexPolygon {
   double Area() const;
 
   // Closed point-in-convex-polygon test, tolerant to points exactly on an
-  // edge. O(n) half-plane evaluation, which is what a thin mobile client
-  // would run; n is ~6 on average for Voronoi cells.
+  // edge: it accepts points at most 1e-12 * (1 + |a.x| + |a.y|) outside
+  // the edge from vertex a. O(n) half-plane evaluation, which is what a
+  // thin mobile client would run; n is ~6 on average for Voronoi cells.
   bool Contains(const Point& p) const;
 
   // Intersects the polygon with the half-plane, returning the clipped

@@ -49,7 +49,16 @@ ConvexPolygon DiskRegion::ConservativePolygon(
   if (cut_inner != nullptr) cut_inner->clear();
   if (cut_outer != nullptr) cut_outer->clear();
 
-  ConvexPolygon poly = ConvexPolygon::FromRect(bounds_);
+  // Every constraint is pulled in by `margin`, a distance at the
+  // coordinates' scale, so the polygon lies strictly inside the region.
+  // Without it the inscribed polygons' vertices sit on the circles and
+  // the tangents on the outer disks, where a point that rounding puts a
+  // hair outside the region would still pass ConvexPolygon::Contains.
+  const double margin =
+      1e-9 * (1.0 + std::abs(focus.x) + std::abs(focus.y));
+  const Rect inset = bounds_.Dilated(-margin, -margin);
+  if (inset.IsEmpty()) return ConvexPolygon();
+  ConvexPolygon poly = ConvexPolygon::FromRect(inset);
 
   // Inner disks: intersect with the inscribed regular polygon, expressed
   // as its edge half-planes (chords of the circle). The polygon is
@@ -76,7 +85,7 @@ ConvexPolygon DiskRegion::ConservativePolygon(
                             ? std::atan2(to_focus.dy, to_focus.dx)
                             : 0.0;
     bool cut = false;
-    const double apothem = d.radius * apothem_factor;
+    const double apothem = d.radius * apothem_factor - margin;
     for (size_t e = 0; e < arc_vertices; ++e) {
       // Edge midpoint direction (apothem direction of each chord).
       const double angle = base + (2.0 * M_PI) *
@@ -104,9 +113,9 @@ ConvexPolygon DiskRegion::ConservativePolygon(
     const double dist = away.Norm();
     if (dist == 0.0) continue;  // focus on the center: degenerate, skip
     const Vec2 u = away * (1.0 / dist);
-    // Keep the side { x : u . (x - center) >= radius }.
+    // Keep the side { x : u . (x - center) >= radius + margin }.
     const HalfPlane h(-u, -(u.dx * d.center.x + u.dy * d.center.y +
-                            d.radius));
+                            d.radius + margin));
     if (poly.IsCutBy(h)) {
       poly = poly.ClipHalfPlane(h);
       if (cut_outer != nullptr) cut_outer->push_back(i);

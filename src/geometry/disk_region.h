@@ -44,13 +44,17 @@ class DiskRegion {
   // bounding box (relative error ~ perimeter / resolution).
   double Area(size_t resolution = 256) const;
 
-  // Convex polygon inside the region containing `focus`: each inner disk
+  // Convex polygon inside the region around `focus`: each inner disk
   // contributes an inscribed regular `arc_vertices`-gon (rotated so the
   // focus stays interior), each outer disk a tangent half-plane facing
-  // the focus. `cut_inner` / `cut_outer` (optional) receive the indices
-  // of the disks whose constraint actually trimmed the polygon — the
-  // influence objects of the conservative representation.
-  // Requires Contains(focus).
+  // the focus, and every constraint, the bounds included, is pulled in
+  // by a margin of 1e-9 * (1 + |focus.x| + |focus.y|). The polygon
+  // therefore lies a margin inside the region, and it contains the
+  // focus unless the focus lies within the margin of the region's
+  // boundary (it may then be empty). `cut_inner` / `cut_outer`
+  // (optional) receive the indices of the disks whose constraint
+  // actually trimmed the polygon — the influence objects of the
+  // conservative representation. Requires Contains(focus).
   ConvexPolygon ConservativePolygon(const Point& focus,
                                     size_t arc_vertices = 16,
                                     std::vector<size_t>* cut_inner = nullptr,

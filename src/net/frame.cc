@@ -138,7 +138,7 @@ std::vector<uint8_t> EncodeRangeRequest(const RangeRequest& req) {
   return writer.Take();
 }
 
-std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info) {
+std::vector<uint8_t> EncodeServerInfo(const core::ServiceInfo& info) {
   ByteWriter writer;
   writer.Append(info.universe.min_x);
   writer.Append(info.universe.min_y);
@@ -147,7 +147,7 @@ std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info) {
   writer.Append(info.points);
   writer.Append(static_cast<uint8_t>(info.cache_enabled ? 1 : 0));
   writer.AppendVarCount(info.fragments.size());
-  for (const FragmentInfo& f : info.fragments) {
+  for (const core::FragmentStat& f : info.fragments) {
     writer.Append(f.mbr.min_x);
     writer.Append(f.mbr.min_y);
     writer.Append(f.mbr.max_x);
@@ -201,9 +201,10 @@ StatusOr<RangeRequest> DecodeRangeRequest(const std::vector<uint8_t>& payload) {
   return req;
 }
 
-StatusOr<ServerInfo> DecodeServerInfo(const std::vector<uint8_t>& payload) {
+StatusOr<core::ServiceInfo> DecodeServerInfo(
+    const std::vector<uint8_t>& payload) {
   ByteReader reader(payload);
-  ServerInfo info;
+  core::ServiceInfo info;
   if (!ReadFinite(&reader, &info.universe.min_x) ||
       !ReadFinite(&reader, &info.universe.min_y) ||
       !ReadFinite(&reader, &info.universe.max_x) ||
@@ -222,7 +223,7 @@ StatusOr<ServerInfo> DecodeServerInfo(const std::vector<uint8_t>& payload) {
   }
   info.fragments.reserve(num_fragments);
   for (size_t i = 0; i < num_fragments; ++i) {
-    FragmentInfo f;
+    core::FragmentStat f;
     // A fragment MBR must be finite but may be empty (no points yet);
     // the points/lookups/hits counters are unconstrained.
     if (!ReadFinite(&reader, &f.mbr.min_x) ||

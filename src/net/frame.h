@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/wire_service.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
 
@@ -68,7 +69,7 @@ enum class FrameType : uint8_t {
   // Replies (server -> client).
   kAnswer = 0x81,  // payload: core::wire::Encode* bytes of the answer
   kPong = 0x84,    // payload: the ping payload, verbatim
-  kInfo = 0x85,    // payload: ServerInfo
+  kInfo = 0x85,    // payload: core::ServiceInfo
   // Unsolicited (server -> client, request_id = subscription id).
   kPush = 0x86,    // payload: PushEnvelope
   kRevoke = 0x87,  // payload: RevokeNotice
@@ -158,27 +159,13 @@ struct RangeRequest {
   double radius = 0.0;
 };
 
-// What kInfo replies carry: enough for a client that knows nothing about
-// the dataset (e.g. the load generator pointed at an external server) to
-// generate in-universe queries.
-// Per-fragment serving stats in an Info reply. Empty unless the server
-// is spatially partitioned. The decoder caps the advertised count —
-// this is a hostile surface and a fragment list is small by design.
+// kInfo replies carry the service's core::ServiceInfo: enough for a
+// client that knows nothing about the dataset (e.g. the load generator
+// pointed at an external server) to generate in-universe queries, plus
+// per-fragment serving stats when the server is spatially partitioned.
+// The decoder caps the advertised fragment count — this is a hostile
+// surface and a fragment list is small by design.
 inline constexpr size_t kMaxInfoFragments = 64;
-
-struct FragmentInfo {
-  geo::Rect mbr;  // may be empty iff the fragment holds no points
-  uint64_t points = 0;
-  uint64_t cache_lookups = 0;
-  uint64_t cache_hits = 0;
-};
-
-struct ServerInfo {
-  geo::Rect universe;
-  uint64_t points = 0;
-  bool cache_enabled = false;
-  std::vector<FragmentInfo> fragments;
-};
 
 // -- Subscription payloads ---------------------------------------------------
 
@@ -229,7 +216,7 @@ struct RevokeNotice {
 std::vector<uint8_t> EncodeNnRequest(const NnRequest& req);
 std::vector<uint8_t> EncodeWindowRequest(const WindowRequest& req);
 std::vector<uint8_t> EncodeRangeRequest(const RangeRequest& req);
-std::vector<uint8_t> EncodeServerInfo(const ServerInfo& info);
+std::vector<uint8_t> EncodeServerInfo(const core::ServiceInfo& info);
 std::vector<uint8_t> EncodeSubscribeRequest(const SubscribeRequest& req);
 std::vector<uint8_t> EncodePushEnvelope(const geo::Point& at,
                                         const uint8_t* answer,
@@ -246,7 +233,7 @@ std::vector<uint8_t> EncodeRevokeNotice(const RevokeNotice& notice);
     const std::vector<uint8_t>& payload);
 [[nodiscard]] StatusOr<RangeRequest> DecodeRangeRequest(
     const std::vector<uint8_t>& payload);
-[[nodiscard]] StatusOr<ServerInfo> DecodeServerInfo(
+[[nodiscard]] StatusOr<core::ServiceInfo> DecodeServerInfo(
     const std::vector<uint8_t>& payload);
 // Subscription decoders additionally reject unknown kinds/reasons and
 // non-finite velocities. The answer bytes inside a PushEnvelope are passed

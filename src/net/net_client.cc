@@ -282,7 +282,7 @@ StatusOr<std::vector<uint8_t>> NetClient::Subscribe(
   return answer;
 }
 
-StatusOr<ServerInfo> NetClient::Info() {
+StatusOr<core::ServiceInfo> NetClient::Info() {
   StatusOr<uint32_t> id = SendInfoRequest();
   if (!id.ok()) return id.status();
   StatusOr<Reply> reply = Receive();

@@ -110,7 +110,7 @@ class NetClient {
   [[nodiscard]] StatusOr<std::vector<uint8_t>> RangeQueryWire(
       const geo::Point& focus, double radius);
   [[nodiscard]] Status Ping();
-  [[nodiscard]] StatusOr<ServerInfo> Info();
+  [[nodiscard]] StatusOr<core::ServiceInfo> Info();
 
   // Registers a trajectory subscription and blocks for the initial
   // answer bytes (the region at req.position). On success

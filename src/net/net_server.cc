@@ -41,20 +41,10 @@ void NetServer::OnFrame(uint64_t connection_id, const Frame& frame,
       reply->Send(FrameType::kPong, frame.request_id, frame.payload);
       return;
 
-    case FrameType::kInfoRequest: {
-      const core::ServiceInfo snapshot = service_->info();
-      ServerInfo info;
-      info.universe = snapshot.universe;
-      info.points = snapshot.points;
-      info.cache_enabled = snapshot.cache_enabled;
-      info.fragments.reserve(snapshot.fragments.size());
-      for (const core::FragmentStat& f : snapshot.fragments) {
-        info.fragments.push_back(
-            FragmentInfo{f.mbr, f.points, f.cache_lookups, f.cache_hits});
-      }
-      reply->Send(FrameType::kInfo, frame.request_id, EncodeServerInfo(info));
+    case FrameType::kInfoRequest:
+      reply->Send(FrameType::kInfo, frame.request_id,
+                  EncodeServerInfo(service_->info()));
       return;
-    }
 
     case FrameType::kNnRequest: {
       StatusOr<NnRequest> req = DecodeNnRequest(frame.payload);

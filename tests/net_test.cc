@@ -168,7 +168,7 @@ TEST(FrameTest, RequestPayloadsRoundTrip) {
   ASSERT_TRUE(range2.ok());
   EXPECT_EQ(range2->radius, range.radius);
 
-  const ServerInfo info{kUnit, 12345, true, {}};
+  const core::ServiceInfo info{kUnit, 12345, true, {}};
   const auto info2 = DecodeServerInfo(EncodeServerInfo(info));
   ASSERT_TRUE(info2.ok());
   EXPECT_EQ(info2->universe, kUnit);

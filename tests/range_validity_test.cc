@@ -14,21 +14,13 @@ namespace lbsq::core {
 namespace {
 
 using rtree::DataEntry;
+using test::BruteForceRange;
 using test::Ids;
 using test::SmallNodeOptions;
 using test::TreeFixture;
 using workload::MakeUnitUniform;
 
 const geo::Rect kUnit(0.0, 0.0, 1.0, 1.0);
-
-std::vector<DataEntry> BruteForceRange(const std::vector<DataEntry>& data,
-                                       const geo::Point& q, double r) {
-  std::vector<DataEntry> out;
-  for (const DataEntry& e : data) {
-    if (geo::SquaredDistance(q, e.point) <= r * r) out.push_back(e);
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // DiskRegion geometry
@@ -136,6 +128,9 @@ TEST_P(RangeValiditySemanticsTest, ResultConstantInsideChangesOutside) {
   for (int trial = 0; trial < 10; ++trial) {
     const geo::Point focus{rng.Uniform(0.2, 0.8), rng.Uniform(0.2, 0.8)};
     const auto result = engine.Query(focus, param.radius);
+    // The engine builds the region with the arithmetic of its distance
+    // filter, so the focus lies in its own region.
+    ASSERT_TRUE(result.IsValidAt(focus));
     const auto expected_ids = Ids(result.result());
 
     for (int i = 0; i < 300; ++i) {
@@ -176,7 +171,7 @@ TEST(RangeValidityTest, ConservativePolygonSubsetOfExact) {
   for (int trial = 0; trial < 30; ++trial) {
     const geo::Point focus{rng.Uniform(0.2, 0.8), rng.Uniform(0.2, 0.8)};
     const auto result = engine.Query(focus, 0.05);
-    const geo::ConvexPolygon& poly = result.conservative_region();
+    const geo::ConvexPolygon poly = result.region().ConservativePolygon(focus);
     ASSERT_TRUE(poly.Contains(focus));
     const geo::Rect box = poly.BoundingBox();
     for (int i = 0; i < 150; ++i) {
@@ -184,7 +179,6 @@ TEST(RangeValidityTest, ConservativePolygonSubsetOfExact) {
                          rng.Uniform(box.min_y, box.max_y)};
       if (poly.Contains(p)) {
         EXPECT_TRUE(result.IsValidAt(p));
-        EXPECT_TRUE(result.IsValidAtConservative(p));
       }
     }
   }
@@ -194,21 +188,35 @@ TEST(RangeValidityTest, InfluencersAreSubsetOfCandidates) {
   const auto dataset = MakeUnitUniform(5000, 505);
   TreeFixture fx(dataset.entries, 64, SmallNodeOptions());
   RangeValidityEngine engine(fx.tree.get(), kUnit);
-  const auto result = engine.Query({0.5, 0.5}, 0.04);
+  const geo::Point focus{0.5, 0.5};
+  const auto result = engine.Query(focus, 0.04);
+  std::vector<size_t> cut_inner, cut_outer;
+  result.region().ConservativePolygon(focus, 16, &cut_inner, &cut_outer);
+  // The region's disks are centred on data objects; map each cutting
+  // disk back to its object.
+  const auto object_at = [&](const geo::Point& center) {
+    const auto it = std::find_if(
+        dataset.entries.begin(), dataset.entries.end(),
+        [&](const DataEntry& e) { return e.point == center; });
+    EXPECT_NE(it, dataset.entries.end());
+    return it == dataset.entries.end() ? DataEntry{} : *it;
+  };
   // Inner influencers are result members; outer influencers are not.
   const auto result_ids = Ids(result.result());
-  for (const DataEntry& e : result.inner_influencers()) {
+  for (const size_t i : cut_inner) {
+    const DataEntry e = object_at(result.region().inner()[i].center);
     EXPECT_TRUE(std::binary_search(result_ids.begin(), result_ids.end(),
                                    e.id));
   }
-  for (const DataEntry& e : result.outer_influencers()) {
+  for (const size_t i : cut_outer) {
+    const DataEntry e = object_at(result.region().outer()[i].center);
     EXPECT_FALSE(std::binary_search(result_ids.begin(), result_ids.end(),
                                     e.id));
-    EXPECT_GT(geo::Distance({0.5, 0.5}, e.point), 0.04);
+    EXPECT_GT(geo::Distance(focus, e.point), 0.04);
   }
   // The influence set is a compressed representation: far smaller than
   // the candidate set.
-  EXPECT_LT(result.InfluenceSetSize(), 40u);
+  EXPECT_LT(cut_inner.size() + cut_outer.size(), 40u);
 }
 
 TEST(RangeValidityTest, EmptyResultRegionIsCappedNotUnbounded) {

@@ -10,6 +10,7 @@ namespace lbsq::core {
 namespace {
 
 using test::BruteForceKnn;
+using test::BruteForceRange;
 using test::BruteForceWindow;
 using test::Ids;
 using test::TreeFixture;
@@ -152,21 +153,53 @@ TEST(MobileRangeClientTest, ReportsCacheHitsPerUpdate) {
   const auto dataset = MakeUnitUniform(3000, 107);
   TreeFixture fx(dataset.entries, 64);
   Server server(fx.tree.get(), kUnit);
-  MobileRangeClient client(&server, 0.05);
-
   const auto trajectory = workload::MakeRandomWaypointTrajectory(
       dataset, 300, 0.001, 109);
-  size_t hits = 0, misses = 0;
-  for (const geo::Point& p : trajectory) {
-    const size_t queries_before = client.server_queries();
-    client.MoveTo(p);
-    const bool queried = client.server_queries() > queries_before;
-    EXPECT_EQ(client.last_answer_was_cached(), !queried);
-    (queried ? misses : hits) += 1;
+
+  size_t exact_queries = 0;
+  for (const MobileRangeClient::Mode mode :
+       {MobileRangeClient::Mode::kValidityRegion,
+        MobileRangeClient::Mode::kConservativeRegion}) {
+    MobileRangeClient client(&server, 0.05, mode);
+    size_t hits = 0, misses = 0;
+    for (const geo::Point& p : trajectory) {
+      const size_t queries_before = client.server_queries();
+      const auto& answer = client.MoveTo(p);
+      EXPECT_EQ(Ids(answer), Ids(BruteForceRange(dataset.entries, p, 0.05)))
+          << "at (" << p.x << ", " << p.y << ")";
+      const bool queried = client.server_queries() > queries_before;
+      EXPECT_EQ(client.last_answer_was_cached(), !queried);
+      (queried ? misses : hits) += 1;
+    }
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(hits, 0u);
+    EXPECT_EQ(misses, client.server_queries());
+    if (mode == MobileRangeClient::Mode::kValidityRegion) {
+      exact_queries = client.server_queries();
+    } else {
+      // The conservative polygon lies inside the exact region.
+      EXPECT_GE(client.server_queries(), exact_queries);
+    }
   }
-  EXPECT_GT(misses, 0u);
-  EXPECT_GT(hits, 0u);
-  EXPECT_EQ(misses, client.server_queries());
+}
+
+// p lies 9.65e-9 inside an outer disk of the first answer's region, and
+// about 1.4e-8 outside a conservative-polygon edge 5.2e-5 long. An edge
+// tolerance that grows as the edge shrinks (a bound on the cross
+// product) accepts it; on 100k points such short edges are common. The
+// client must drop the stale answer.
+TEST(MobileRangeClientTest, ConservativeModeDropsAStaleAnswer) {
+  const auto dataset = MakeUnitUniform(100000, 4242);
+  TreeFixture fx(dataset.entries, 64);
+  Server server(fx.tree.get(), kUnit);
+  MobileRangeClient client(&server, 0.025,
+                           MobileRangeClient::Mode::kConservativeRegion);
+
+  client.MoveTo(workload::MakeDataDistributedQueries(dataset, 1024, 5)[264]);
+  const geo::Point p{0.36124376559284627, 0.11587457959876647};
+  const auto& answer = client.MoveTo(p);
+  EXPECT_EQ(client.server_queries(), 2u);
+  EXPECT_EQ(Ids(answer), Ids(BruteForceRange(dataset.entries, p, 0.025)));
 }
 
 // Audit of the round-trip accounting at a validity-region boundary: a

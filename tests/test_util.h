@@ -49,6 +49,18 @@ inline std::vector<rtree::DataEntry> BruteForceWindow(
   return out;
 }
 
+// Exhaustive range query: every object within distance r of q (closed),
+// in data order.
+inline std::vector<rtree::DataEntry> BruteForceRange(
+    const std::vector<rtree::DataEntry>& data, const geo::Point& q,
+    double r) {
+  std::vector<rtree::DataEntry> out;
+  for (const rtree::DataEntry& e : data) {
+    if (geo::SquaredDistance(q, e.point) <= r * r) out.push_back(e);
+  }
+  return out;
+}
+
 inline std::vector<rtree::ObjectId> Ids(
     const std::vector<rtree::DataEntry>& entries) {
   std::vector<rtree::ObjectId> ids;

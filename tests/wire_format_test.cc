@@ -246,7 +246,8 @@ TEST(WireFormatTest, RangeDecodeRejectsFocusOutsideRegion) {
   RangeValidityEngine engine(fx.tree.get(), kUnit);
   auto bytes = EncodeRangeResult(engine.Query({0.5, 0.5}, 0.05)).value();
   // Teleport the focus far outside the decoded validity region: the
-  // decoder must reject rather than trip ConservativePolygon's contract.
+  // decoder must reject it, since a client that derives the conservative
+  // polygon would trip ConservativePolygon's contract.
   const double far_away = 123.0;
   std::memcpy(bytes.data(), &far_away, sizeof(far_away));
   std::memcpy(bytes.data() + sizeof(double), &far_away, sizeof(far_away));

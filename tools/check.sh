@@ -20,7 +20,9 @@
 #           and the partition suite's concurrent routing-table readers)
 #           — the rest are single-threaded and add nothing
 #   bench-smoke  micro + net_loadgen + the partition K-sweep +
-#           push_loadgen at tiny sizes; fails on crash, a failed reply
+#           push_loadgen + ext_range_validity (the one bench that derives
+#           range influence objects from the client-side polygon) at
+#           tiny sizes; fails on crash, a failed reply
 #           verification (incl. push_loadgen's zero-answer-gap check),
 #           or a missing/malformed BENCH_*.json artifact (the numbers
 #           themselves are not gated here — a smoke box is too noisy
@@ -126,7 +128,7 @@ stage_tsan() {
 stage_bench_smoke() {
   cmake -S "$ROOT" -B "$ROOT/build" >/dev/null &&
     cmake --build "$ROOT/build" --target micro net_loadgen partition \
-      push_loadgen -j "$JOBS" || return 1
+      push_loadgen ext_range_validity -j "$JOBS" || return 1
   local dir
   dir="$(mktemp -d)" || return 1
   local ok=0
@@ -142,6 +144,8 @@ stage_bench_smoke() {
     LBSQ_BENCH_DIR="$dir" LBSQ_SCALE=0.05 LBSQ_ROUNDS=1 \
       "$ROOT/build/bench/partition" >/dev/null &&
     LBSQ_BENCH_DIR="$dir" LBSQ_SCALE=0.05 "$ROOT/build/bench/push_loadgen" \
+      >/dev/null &&
+    LBSQ_QUERIES=20 LBSQ_SCALE=0.05 "$ROOT/build/bench/ext_range_validity" \
       >/dev/null &&
     python3 -m json.tool "$dir/BENCH_micro.json" >/dev/null &&
     python3 -m json.tool "$dir/BENCH_net_loadgen.json" >/dev/null &&

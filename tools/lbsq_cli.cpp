@@ -330,11 +330,13 @@ int CmdRange(const ArgMap& args) {
     return 1;
   }
   std::printf("%zu objects within %.6g\n", result.result().size(), r);
+  std::vector<size_t> cut_inner, cut_outer;
+  const geo::ConvexPolygon conservative =
+      result.region().ConservativePolygon(q, 16, &cut_inner, &cut_outer);
   std::printf("validity: %zu inner + %zu outer influence objects, "
               "conservative polygon with %zu vertices\n",
-              result.inner_influencers().size(),
-              result.outer_influencers().size(),
-              result.conservative_region().num_vertices());
+              cut_inner.size(), cut_outer.size(),
+              conservative.num_vertices());
   return 0;
 }
 
@@ -538,7 +540,7 @@ int CmdInfo(const ArgMap& args) {
               info->fragments.empty() ? 1 : info->fragments.size(),
               info->fragments.size() > 1 ? "s" : "");
   for (size_t f = 0; f < info->fragments.size(); ++f) {
-    const net::FragmentInfo& frag = info->fragments[f];
+    const core::FragmentStat& frag = info->fragments[f];
     const double rate =
         frag.cache_lookups == 0
             ? 0.0
