@@ -150,6 +150,27 @@ void BM_RangeValidityQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeValidityQuery)->Apply(MinOfRounds);
 
+// The thin client's cost of deriving the conservative polygon from a
+// range answer's exact region, once per fresh answer (MobileRangeClient's
+// conservative mode). Arg: radius in thousandths.
+void BM_RangeConservativePolygon(benchmark::State& state) {
+  auto& wb = SharedBench();
+  const auto& queries = SharedQueries();
+  core::RangeValidityEngine engine(wb.tree.get(), wb.dataset.universe);
+  const double radius = 1e-3 * static_cast<double>(state.range(0));
+  std::vector<core::RangeValidityResult> answers;
+  answers.reserve(queries.size());
+  for (const geo::Point& q : queries) {
+    answers.push_back(engine.Query(q, radius));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const core::RangeValidityResult& a = answers[i++ % answers.size()];
+    benchmark::DoNotOptimize(a.region().ConservativePolygon(a.focus()));
+  }
+}
+BENCHMARK(BM_RangeConservativePolygon)->Arg(25)->Arg(50)->Apply(MinOfRounds);
+
 // Cost of a semantic-cache hit on the wire-serving path: one grid-cell
 // scan plus a handful of bisector tests plus the byte copy. Compare
 // against BM_NnValidityQuery/10 — the work a hit avoids.

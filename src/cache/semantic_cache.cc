@@ -143,11 +143,10 @@ bool SemanticCache::AffectedByUpdate(const Entry& entry, const geo::Point& p,
           .Dilated(entry.param_a, entry.param_b)
           .Contains(p);
     case Kind::kRange:
-      // Insert and delete alike: influence candidates come from
-      // bounds.Dilated(r, r) (range_validity.cc) and the result from a
-      // disk inside it.
-      return entry.range_region.bounds()
-          .Dilated(entry.param_a, entry.param_a)
+      // Insert and delete alike: the engine fetches its outer candidates
+      // from the candidate window of the bounds (range_validity.cc), and
+      // its result from the candidate window of the focus, inside it.
+      return RangeKillFootprint(entry.range_region.bounds(), entry.param_a)
           .Contains(p);
   }
   return true;
@@ -188,7 +187,7 @@ geo::Rect SemanticCache::WindowKillFootprint(const geo::Rect& base, double hx,
 
 geo::Rect SemanticCache::RangeKillFootprint(const geo::Rect& bounds,
                                             double radius) {
-  return bounds.Dilated(radius, radius);
+  return geo::RangeCandidateWindow(bounds, radius);
 }
 
 geo::Rect SemanticCache::KillFootprint(const Entry& entry) const {

@@ -1,6 +1,6 @@
 #include "core/range_validity.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,14 +16,15 @@ constexpr double kMaxExtentFactor = 16.0;
 
 // Per-thread SoA scratch for the distance filters below. This TU is
 // compiled with LBSQ_SIMD_COMPILE_OPTIONS (see src/core/CMakeLists.txt):
-// the mask pass is a branch-free map over contiguous coordinate arrays
+// the mask passes are branch-free maps over contiguous coordinate arrays
 // that g++ autovectorizes. -ffp-contract=off keeps dx*dx + dy*dy free of
 // FMA contraction, so the computed distances — and with them every
-// answer — are bit-identical to the scalar SquaredDistance call.
+// answer — are bit-identical to the scalar SquaredDistance and
+// SquaredMinDist calls.
 struct DistScratch {
   std::vector<double> xs;
   std::vector<double> ys;
-  std::vector<uint8_t> keep;
+  std::vector<uint8_t> flag;
   std::vector<uint32_t> idx;
 
   // Splits `candidates` into coordinate arrays, then flags every
@@ -34,7 +35,7 @@ struct DistScratch {
     const size_t n = candidates.size();
     xs.resize(n);
     ys.resize(n);
-    keep.resize(n);
+    flag.resize(n);
     idx.resize(n);
     for (size_t i = 0; i < n; ++i) {
       xs[i] = candidates[i].point.x;
@@ -43,9 +44,21 @@ struct DistScratch {
     for (size_t i = 0; i < n; ++i) {
       const double dx = focus.x - xs[i];
       const double dy = focus.y - ys[i];
-      keep[i] = static_cast<uint8_t>(dx * dx + dy * dy <= r_sq);
+      flag[i] = static_cast<uint8_t>(dx * dx + dy * dy <= r_sq);
     }
     return n;
+  }
+
+  // Also flags every candidate with SquaredMinDist(candidate, bounds) >
+  // r_sq: its closed disk misses the bounds.
+  void FlagMisses(size_t n, const geo::Rect& bounds, double r_sq) {
+    for (size_t i = 0; i < n; ++i) {
+      const double dx =
+          std::max(std::max(bounds.min_x - xs[i], 0.0), xs[i] - bounds.max_x);
+      const double dy =
+          std::max(std::max(bounds.min_y - ys[i], 0.0), ys[i] - bounds.max_y);
+      flag[i] |= static_cast<uint8_t>(dx * dx + dy * dy > r_sq);
+    }
   }
 
   // Branchless staging of the indices whose flag matches `want`; returns
@@ -54,7 +67,7 @@ struct DistScratch {
     size_t m = 0;
     for (size_t i = 0; i < n; ++i) {
       idx[m] = static_cast<uint32_t>(i);
-      m += static_cast<size_t>(keep[i] == want);
+      m += static_cast<size_t>(flag[i] == want);
     }
     return m;
   }
@@ -82,16 +95,19 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
   LBSQ_CHECK(radius > 0.0);
   stats_ = Stats();
 
-  // Step 1: the range query — a window query over the bounding box of
-  // the disk, filtered by true distance. The backend's canonical entry
-  // order makes the result and the outer disks (and so the wire bytes)
-  // independent of the tree layout.
+  // Step 1: the range query — a window query over the candidate window
+  // of the focus (every object whose closed disk can reach it), filtered
+  // by true distance. The backend's canonical entry order makes the
+  // result and the outer disks (and so the wire bytes) independent of
+  // the tree layout.
   SpatialBackend* be = backend();
   const uint64_t na_before = be->node_accesses();
   const double r_sq = radius * radius;
   thread_local DistScratch scratch;
   std::vector<rtree::DataEntry> candidates;
-  be->WindowQuery(geo::Rect::Centered(focus, radius, radius), &candidates);
+  be->WindowQuery(geo::RangeCandidateWindow(geo::Rect::FromPoint(focus),
+                                            radius),
+                  &candidates);
   stats_.result_node_accesses = be->node_accesses() - na_before;
 
   // SoA two-pass distance filter (see DistScratch): same predicate and
@@ -104,33 +120,43 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
     for (size_t j = 0; j < m; ++j) result.push_back(candidates[scratch.idx[j]]);
   }
 
-  // Bounding rectangle of the region: inside every inner disk the focus
-  // can stray at most 2 * radius from its start (triangle inequality),
-  // and the engine caps empty-result regions like the window engine.
+  // Bounding rectangle of the region, built as the window engine builds
+  // its inner rectangle: the universe, capped like the window engine's
+  // region (which bounds the cost of empty-result queries), cut to the
+  // square around each result object's disk. Each square is widened to
+  // the focus: the distance mask and the square's edges round
+  // differently, so a member the mask admits can have a square that
+  // misses the focus by an ulp. Every inner disk still constrains the
+  // region, so the widening keeps it sound.
   const double cap = kMaxExtentFactor * radius;
-  const double reach = result.empty() ? cap : 2.0 * radius;
-  const geo::Rect bounds = universe_.Intersection(
-      geo::Rect::Centered(focus, std::min(cap, reach), std::min(cap, reach)));
-
+  geo::Rect bounds =
+      universe_.Intersection(geo::Rect::Centered(focus, cap, cap));
   std::vector<geo::DiskRegion::Disk> inner;
   inner.reserve(result.size());
   for (const rtree::DataEntry& e : result) {
+    bounds = bounds.Intersection(
+        geo::Rect::Centered(e.point, radius, radius).ExpandedToInclude(focus));
     inner.push_back({e.point, radius});
   }
+  LBSQ_CHECK(bounds.Contains(focus));
 
-  // Step 2: candidate outer objects — anything whose disk can reach the
-  // bounded region, i.e. within `radius` of the bounds rectangle.
+  // Step 2: candidate outer objects — anything whose closed disk can
+  // reach the bounds.
   const uint64_t na_before2 = be->node_accesses();
   candidates.clear();
-  be->WindowQuery(bounds.Dilated(radius, radius), &candidates);
+  be->WindowQuery(geo::RangeCandidateWindow(bounds, radius), &candidates);
   stats_.influence_node_accesses = be->node_accesses() - na_before2;
   stats_.outer_candidates += candidates.size();
 
-  // Same mask, inverted selection: everything beyond the radius is an
-  // outer candidate disk.
+  // Same mask, inverted selection, with the misses flagged too: an outer
+  // disk is a candidate beyond the radius whose closed disk reaches the
+  // bounds (SquaredMinDist <= r_sq). Rounding is monotone, so a dropped
+  // disk's squared distance to every point of the bounds exceeds r_sq
+  // too, and it cannot exclude any point of the region.
   std::vector<geo::DiskRegion::Disk> outer;
   {
     const size_t n = scratch.DistanceMask(candidates, focus, r_sq);
+    scratch.FlagMisses(n, bounds, r_sq);
     const size_t m = scratch.Stage(n, 0);
     outer.reserve(m);
     for (size_t j = 0; j < m; ++j) {

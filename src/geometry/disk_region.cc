@@ -8,15 +8,36 @@
 
 namespace lbsq::geo {
 
+namespace {
+
+// Largest distance from `p` to a vertex of `poly`: the radius around p
+// that holds the whole convex polygon.
+double Reach(const ConvexPolygon& poly, const Point& p) {
+  double reach_sq = 0.0;
+  for (const Point& v : poly.vertices()) {
+    reach_sq = std::max(reach_sq, SquaredDistance(v, p));
+  }
+  return std::sqrt(reach_sq);
+}
+
+}  // namespace
+
 bool DiskRegion::Contains(const Point& p) const {
   if (!bounds_.Contains(p)) return false;
   for (const Disk& d : inner_) {
     if (SquaredDistance(p, d.center) > d.radius * d.radius) return false;
   }
   for (const Disk& d : outer_) {
-    if (SquaredDistance(p, d.center) < d.radius * d.radius) return false;
+    if (SquaredDistance(p, d.center) <= d.radius * d.radius) return false;
   }
   return true;
+}
+
+Rect RangeCandidateWindow(const Rect& area, double radius) {
+  const double scale = std::max({std::abs(area.min_x), std::abs(area.min_y),
+                                 std::abs(area.max_x), std::abs(area.max_y)});
+  const double reach = radius + 1e-12 * (1.0 + scale + radius);
+  return area.Dilated(reach, reach);
 }
 
 double DiskRegion::Area(size_t resolution) const {
@@ -66,19 +87,25 @@ ConvexPolygon DiskRegion::ConservativePolygon(
   // keeps the focus strictly interior whenever it is not on the circle.
   // Disks are processed tightest-first (least slack around the focus) so
   // that redundant generous disks do not register as influence objects.
+  std::vector<double> slack(inner_.size());
   std::vector<size_t> inner_order(inner_.size());
-  for (size_t i = 0; i < inner_order.size(); ++i) inner_order[i] = i;
+  for (size_t i = 0; i < inner_.size(); ++i) {
+    slack[i] = inner_[i].radius - Distance(focus, inner_[i].center);
+    inner_order[i] = i;
+  }
   std::sort(inner_order.begin(), inner_order.end(),
-            [this, &focus](size_t a, size_t b) {
-              const double slack_a =
-                  inner_[a].radius - Distance(focus, inner_[a].center);
-              const double slack_b =
-                  inner_[b].radius - Distance(focus, inner_[b].center);
-              return slack_a < slack_b;
-            });
+            [&slack](size_t a, size_t b) { return slack[a] < slack[b]; });
   const double apothem_factor =
       std::cos(M_PI / static_cast<double>(arc_vertices));
+  // Stop radius: the rotation puts every edge normal at least pi/n away
+  // from the direction of the focus, so each chord of a disk with slack
+  // s lies at least cos(pi/n) * s - margin from the focus. Once that
+  // exceeds the polygon's reach, no chord of this disk or of any looser
+  // one can cut. The relative gap of 1e-6 covers the rounding of the
+  // chords and of the reach.
+  double reach = Reach(poly, focus);
   for (const size_t i : inner_order) {
+    if (apothem_factor * slack[i] - margin > reach * (1.0 + 1e-6)) break;
     const Disk& d = inner_[i];
     const Vec2 to_focus = focus - d.center;
     const double base = to_focus.SquaredNorm() > 0.0
@@ -102,11 +129,12 @@ ConvexPolygon DiskRegion::ConservativePolygon(
     }
     if (cut && cut_inner != nullptr) cut_inner->push_back(i);
     if (poly.IsEmpty()) return poly;
+    if (cut) reach = Reach(poly, focus);
   }
 
   // Outer disks: one tangent half-plane facing the focus. The focus is
-  // outside the open disk, so the tangent plane through the near side
-  // keeps it.
+  // outside the disk, so the tangent plane through the near side keeps
+  // it.
   for (size_t i = 0; i < outer_.size(); ++i) {
     const Disk& d = outer_[i];
     const Vec2 away = focus - d.center;

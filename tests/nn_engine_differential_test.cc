@@ -37,7 +37,11 @@ namespace lbsq::core {
 namespace {
 
 using rtree::DataEntry;
+using test::CollinearRow;
+using test::Duplicates;
+using test::Lattice;
 using test::TreeFixture;
+using test::UniverseBoundary;
 
 const geo::Rect kUnit(0.0, 0.0, 1.0, 1.0);
 
@@ -157,65 +161,6 @@ size_t RunCase(const Case& c) {
                 c.name.c_str(), k, count, tally.differing, tally.worst_area);
   }
   return total;
-}
-
-// -- Data sets ---------------------------------------------------------------
-
-std::vector<DataEntry> Lattice(int side) {
-  std::vector<DataEntry> out;
-  rtree::ObjectId id = 0;
-  for (int x = 0; x < side; ++x) {
-    for (int y = 0; y < side; ++y) {
-      out.push_back({{static_cast<double>(x), static_cast<double>(y)}, id++});
-    }
-  }
-  return out;
-}
-
-// Every coordinate appears twice or three times, with distinct ids.
-std::vector<DataEntry> Duplicates(size_t distinct, uint64_t seed) {
-  const auto base = workload::MakeUnitUniform(distinct, seed);
-  std::vector<DataEntry> out;
-  rtree::ObjectId id = 0;
-  for (size_t i = 0; i < base.entries.size(); ++i) {
-    const size_t copies = 2 + i % 2;
-    for (size_t c = 0; c < copies; ++c) {
-      out.push_back({base.entries[i].point, id++});
-    }
-  }
-  return out;
-}
-
-// One horizontal row of points.
-std::vector<DataEntry> CollinearRow(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<DataEntry> out;
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back({{rng.NextDouble(), 0.5}, static_cast<rtree::ObjectId>(i)});
-  }
-  return out;
-}
-
-// The four corners and points on the four sides of the unit square,
-// plus a sparse interior.
-std::vector<DataEntry> UniverseBoundary(size_t per_side, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<DataEntry> out;
-  rtree::ObjectId id = 0;
-  for (const geo::Point corner :
-       {geo::Point{0.0, 0.0}, geo::Point{1.0, 0.0}, geo::Point{0.0, 1.0},
-        geo::Point{1.0, 1.0}}) {
-    out.push_back({corner, id++});
-  }
-  for (size_t i = 0; i < per_side; ++i) {
-    const double t = rng.NextDouble();
-    out.push_back({{t, 0.0}, id++});
-    out.push_back({{t, 1.0}, id++});
-    out.push_back({{0.0, rng.NextDouble()}, id++});
-    out.push_back({{1.0, rng.NextDouble()}, id++});
-    out.push_back({{rng.NextDouble(), rng.NextDouble()}, id++});
-  }
-  return out;
 }
 
 // -- Cases (10,000 queries in all) -------------------------------------------

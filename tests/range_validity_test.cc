@@ -34,7 +34,7 @@ TEST(DiskRegionTest, ContainsSemantics) {
   EXPECT_TRUE(region.Contains({5.0, 8.0}));    // inner boundary is inside
   EXPECT_FALSE(region.Contains({5.0, 8.01}));  // beyond the inner disk
   EXPECT_FALSE(region.Contains({7.5, 5.0}));   // inside the outer disk
-  EXPECT_TRUE(region.Contains({7.0, 5.0}));    // outer boundary is valid
+  EXPECT_FALSE(region.Contains({7.0, 5.0}));   // outer boundary is outside
 }
 
 TEST(DiskRegionTest, AreaOfPlainDiskIsAccurate) {
@@ -217,6 +217,46 @@ TEST(RangeValidityTest, InfluencersAreSubsetOfCandidates) {
   // The influence set is a compressed representation: far smaller than
   // the candidate set.
   EXPECT_LT(cut_inner.size() + cut_outer.size(), 40u);
+}
+
+// Tie rule: the range query is closed, so a position at distance
+// exactly r from an outer object has that object in its answer. Here
+// (1, 0) lies on the inner disk of object 0 and on the disk of object 1,
+// and both are within 1 of it; an open outer disk would call it valid.
+TEST(RangeValidityTest, PositionOnAnOuterCircleIsOutsideTheRegion) {
+  const std::vector<DataEntry> data = {{{0.0, 0.0}, 0}, {{2.0, 0.0}, 1}};
+  const geo::Rect universe(-5.0, -5.0, 5.0, 5.0);
+  TreeFixture fx(data, 8);
+  RangeValidityEngine engine(fx.tree.get(), universe);
+  const auto result = engine.Query({-0.5, 0.0}, 1.0);
+  ASSERT_EQ(Ids(result.result()), std::vector<rtree::ObjectId>{0});
+  ASSERT_TRUE(result.IsValidAt({-0.5, 0.0}));
+  const geo::Point tie{1.0, 0.0};
+  EXPECT_EQ(Ids(BruteForceRange(data, tie, 1.0)),
+            (std::vector<rtree::ObjectId>{0, 1}));
+  EXPECT_FALSE(result.IsValidAt(tie));
+}
+
+// The outer candidates are fetched from the bounds dilated by r plus a
+// pad. Object 1 lies one ulp outside the unpadded window, yet at the
+// bounds' left edge its squared distance rounds to exactly r^2, so it
+// is in the answer there. Without the pad it is never fetched and that
+// edge point passes IsValidAt with the wrong answer.
+TEST(RangeValidityTest, OuterFetchCoversRoundingAtTheBounds) {
+  const geo::Point focus{0.058456819705608135, 0.5};
+  const double r = 0.025;
+  const std::vector<DataEntry> data = {{focus, 0},
+                                       {{0.00845681970560813, 0.5}, 1}};
+  TreeFixture fx(data, 8);
+  RangeValidityEngine engine(fx.tree.get(), kUnit);
+  const auto result = engine.Query(focus, r);
+  ASSERT_EQ(Ids(result.result()), std::vector<rtree::ObjectId>{0});
+  const geo::Rect& bounds = result.region().bounds();
+  ASSERT_FALSE(bounds.Dilated(r, r).Contains(data[1].point));
+  const geo::Point edge{bounds.min_x, 0.5};
+  ASSERT_EQ(Ids(BruteForceRange(data, edge, r)),
+            (std::vector<rtree::ObjectId>{0, 1}));
+  EXPECT_FALSE(result.IsValidAt(edge));
 }
 
 TEST(RangeValidityTest, EmptyResultRegionIsCappedNotUnbounded) {

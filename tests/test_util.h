@@ -2,14 +2,18 @@
 #define LBSQ_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
 #include "rtree/knn.h"
 #include "rtree/rtree.h"
 #include "storage/page_manager.h"
+#include "workload/datasets.h"
 
 // Brute-force reference implementations and fixtures shared by the test
 // suite. Every spatial algorithm in the library is validated against the
@@ -77,6 +81,69 @@ inline std::vector<rtree::ObjectId> Ids(
   for (const rtree::Neighbor& n : neighbors) ids.push_back(n.entry.id);
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+// -- Degenerate data sets (ids in data order) ---------------------------------
+
+// The integer lattice {0, ..., side - 1}^2.
+inline std::vector<rtree::DataEntry> Lattice(int side) {
+  std::vector<rtree::DataEntry> out;
+  rtree::ObjectId id = 0;
+  for (int x = 0; x < side; ++x) {
+    for (int y = 0; y < side; ++y) {
+      out.push_back({{static_cast<double>(x), static_cast<double>(y)}, id++});
+    }
+  }
+  return out;
+}
+
+// Unit-square points where every coordinate appears twice or three
+// times, with distinct ids.
+inline std::vector<rtree::DataEntry> Duplicates(size_t distinct,
+                                                uint64_t seed) {
+  const auto base = workload::MakeUnitUniform(distinct, seed);
+  std::vector<rtree::DataEntry> out;
+  rtree::ObjectId id = 0;
+  for (size_t i = 0; i < base.entries.size(); ++i) {
+    const size_t copies = 2 + i % 2;
+    for (size_t c = 0; c < copies; ++c) {
+      out.push_back({base.entries[i].point, id++});
+    }
+  }
+  return out;
+}
+
+// One horizontal row of points at y = 0.5 in the unit square.
+inline std::vector<rtree::DataEntry> CollinearRow(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<rtree::DataEntry> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back({{rng.NextDouble(), 0.5}, static_cast<rtree::ObjectId>(i)});
+  }
+  return out;
+}
+
+// The four corners and points on the four sides of the unit square,
+// plus a sparse interior.
+inline std::vector<rtree::DataEntry> UniverseBoundary(size_t per_side,
+                                                      uint64_t seed) {
+  Rng rng(seed);
+  std::vector<rtree::DataEntry> out;
+  rtree::ObjectId id = 0;
+  for (const geo::Point corner :
+       {geo::Point{0.0, 0.0}, geo::Point{1.0, 0.0}, geo::Point{0.0, 1.0},
+        geo::Point{1.0, 1.0}}) {
+    out.push_back({corner, id++});
+  }
+  for (size_t i = 0; i < per_side; ++i) {
+    const double t = rng.NextDouble();
+    out.push_back({{t, 0.0}, id++});
+    out.push_back({{t, 1.0}, id++});
+    out.push_back({{0.0, rng.NextDouble()}, id++});
+    out.push_back({{1.0, rng.NextDouble()}, id++});
+    out.push_back({{rng.NextDouble(), rng.NextDouble()}, id++});
+  }
+  return out;
 }
 
 // An R-tree bundled with its backing disk, bulk-loaded from `data`.

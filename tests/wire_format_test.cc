@@ -137,6 +137,23 @@ TEST(WireFormatTest, RangeResultRoundTripPreservesClientBehavior) {
       EXPECT_EQ(decoded.IsValidAt(p), original.IsValidAt(p));
     }
   }
+
+  // A member the distance mask admits although its square of half-width
+  // r misses the focus by an ulp: the region's bounds must still hold
+  // the focus, or the decoder rejects the engine's own answer.
+  const geo::Point focus{0.01092432939285761, 0.5};
+  const std::vector<rtree::DataEntry> member = {
+      {{0.03592432939285761, 0.5}, 0}};
+  ASSERT_GT(geo::Rect::Centered(member[0].point, 0.025, 0.025).min_x,
+            focus.x);
+  TreeFixture tiny(member, 8);
+  RangeValidityEngine tiny_engine(tiny.tree.get(), kUnit);
+  const RangeValidityResult original = tiny_engine.Query(focus, 0.025);
+  ASSERT_EQ(test::Ids(original.result()), std::vector<rtree::ObjectId>{0});
+  EXPECT_TRUE(original.IsValidAt(focus));
+  const auto decoded = DecodeRangeResult(EncodeRangeResult(original).value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(test::Ids(decoded->result()), test::Ids(original.result()));
 }
 
 TEST(WireFormatTest, ValidityAnswerIsCompact) {
