@@ -1,6 +1,7 @@
 #include "core/range_validity.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -97,9 +98,10 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
 
   // Step 1: the range query — a window query over the candidate window
   // of the focus (every object whose closed disk can reach it), filtered
-  // by true distance. The backend's canonical entry order makes the
-  // result and the outer disks (and so the wire bytes) independent of
-  // the tree layout.
+  // by true distance. What ships — the result and the kept outer disks —
+  // is put into canonical order after its filter, which makes it (and so
+  // the wire bytes) independent of the tree layout; the candidates the
+  // filters drop are never sorted.
   SpatialBackend* be = backend();
   const uint64_t na_before = be->node_accesses();
   const double r_sq = radius * radius;
@@ -110,8 +112,8 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
                   &candidates);
   stats_.result_node_accesses = be->node_accesses() - na_before;
 
-  // SoA two-pass distance filter (see DistScratch): same predicate and
-  // emit order as the per-entry scalar callback.
+  // SoA two-pass distance filter (see DistScratch): same predicate as
+  // the per-entry scalar callback.
   std::vector<rtree::DataEntry> result;
   {
     const size_t n = scratch.DistanceMask(candidates, focus, r_sq);
@@ -119,6 +121,7 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
     result.reserve(m);
     for (size_t j = 0; j < m; ++j) result.push_back(candidates[scratch.idx[j]]);
   }
+  SpatialBackend::SortCanonical(&result);
 
   // Bounding rectangle of the region, built as the window engine builds
   // its inner rectangle: the universe, capped like the window engine's
@@ -146,21 +149,30 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
   candidates.clear();
   be->WindowQuery(geo::RangeCandidateWindow(bounds, radius), &candidates);
   stats_.influence_node_accesses = be->node_accesses() - na_before2;
-  stats_.outer_candidates += candidates.size();
 
   // Same mask, inverted selection, with the misses flagged too: an outer
   // disk is a candidate beyond the radius whose closed disk reaches the
   // bounds (SquaredMinDist <= r_sq). Rounding is monotone, so a dropped
   // disk's squared distance to every point of the bounds exceeds r_sq
-  // too, and it cannot exclude any point of the region.
+  // too, and it cannot exclude any point of the region. The fetch holds
+  // the focus's candidate window, so it reads the result again; only the
+  // candidates beyond the radius count as outer candidates. The kept
+  // entries are compacted to the front of `candidates` (the staged
+  // indices ascend) and put into canonical order there.
   std::vector<geo::DiskRegion::Disk> outer;
   {
     const size_t n = scratch.DistanceMask(candidates, focus, r_sq);
+    stats_.outer_candidates = static_cast<size_t>(
+        std::count(scratch.flag.begin(),
+                   scratch.flag.begin() + static_cast<ptrdiff_t>(n), 0));
     scratch.FlagMisses(n, bounds, r_sq);
     const size_t m = scratch.Stage(n, 0);
+    for (size_t j = 0; j < m; ++j) candidates[j] = candidates[scratch.idx[j]];
+    candidates.resize(m);
+    SpatialBackend::SortCanonical(&candidates);
     outer.reserve(m);
-    for (size_t j = 0; j < m; ++j) {
-      outer.push_back({candidates[scratch.idx[j]].point, radius});
+    for (const rtree::DataEntry& e : candidates) {
+      outer.push_back({e.point, radius});
     }
   }
 

@@ -55,6 +55,8 @@ class RangeValidityEngine {
   struct Stats {
     uint64_t result_node_accesses = 0;
     uint64_t influence_node_accesses = 0;
+    // Objects the outer-candidate fetch read beyond the radius (the ones
+    // within it are the result, read again).
     size_t outer_candidates = 0;
   };
 

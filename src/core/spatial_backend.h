@@ -1,7 +1,6 @@
 #ifndef LBSQ_CORE_SPATIAL_BACKEND_H_
 #define LBSQ_CORE_SPATIAL_BACKEND_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -31,11 +30,14 @@
 //     shrinking stop radius cuts it — is a pure function of the data
 //     set, however it is split across trees. Its first k objects are
 //     rtree::KnnBestFirst(q, k) in ids, order and bits.
-//   * WindowQuery returns the matching entries in CANONICAL order —
-//     ascending (id, x, y) — NOT tree-traversal order. Traversal order
-//     leaks the tree's node layout into the wire encoding of window and
-//     range answers; the canonical sort makes the bytes a pure function
-//     of the data set. SortCanonical below is the shared definition.
+//   * WindowQuery returns the matching entries as a set, in an order
+//     that depends on the tree layout (and, behind the router, on the
+//     fragments). Every engine puts what it ships — the result and the
+//     kept outer objects — into CANONICAL order, ascending (id, x, y),
+//     with SortCanonical below before it builds anything order-dependent
+//     from them, so the wire encoding of window and range answers is a
+//     pure function of the data set. Candidates the engines' filters
+//     drop are never sorted.
 //
 // The backend is also the seam for the checked (untrusted-storage) query
 // path: DropBuffers purges any buffered pages after a read fault so a
@@ -62,29 +64,25 @@ class SpatialBackend {
   virtual void BrowseNearest(const geo::Point& q,
                              const rtree::StreamVisitor& visit) = 0;
 
-  // All points inside `w` (closed containment), in canonical order.
+  // All points inside `w` (closed containment), in no particular order.
   virtual void WindowQuery(const geo::Rect& w,
                            std::vector<rtree::DataEntry>* out) = 0;
 
   // Drops every buffered page (checked-path fault recovery).
   virtual void DropBuffers() = 0;
 
-  // The canonical entry order of WindowQuery: ascending object id, with
+  // Sorts `entries` into canonical order: ascending object id, with
   // (x, y) as a total-order tiebreak for the degenerate duplicate-id
-  // case. Exact comparisons only, so the order is bit-deterministic.
-  static void SortCanonical(std::vector<rtree::DataEntry>* entries) {
-    std::sort(entries->begin(), entries->end(),
-              [](const rtree::DataEntry& a, const rtree::DataEntry& b) {
-                if (a.id != b.id) return a.id < b.id;
-                if (a.point.x != b.point.x) return a.point.x < b.point.x;
-                return a.point.y < b.point.y;
-              });
-  }
+  // case. Exact comparisons only, so the order is bit-deterministic. A
+  // stable LSD radix sort on the 32-bit id (8-bit digits; a byte every
+  // id shares costs no pass), then each run of equal ids ordered by
+  // (x, y); inputs below a small cutoff take an insertion sort. The
+  // result equals std::stable_sort under the (id, x, y) comparison.
+  static void SortCanonical(std::vector<rtree::DataEntry>* entries);
 };
 
 // The single-tree backend: forwards every primitive to one R*-tree. This
-// is what the engines' (RTree*, universe) constructors wrap, so existing
-// callers see no change beyond the canonical window order.
+// is what the engines' (RTree*, universe) constructors wrap.
 class RTreeBackend final : public SpatialBackend {
  public:
   explicit RTreeBackend(rtree::RTree* tree) : tree_(tree) {}
@@ -106,7 +104,6 @@ class RTreeBackend final : public SpatialBackend {
   void WindowQuery(const geo::Rect& w,
                    std::vector<rtree::DataEntry>* out) override {
     tree_->WindowQuery(w, out);
-    SortCanonical(out);
   }
 
   void DropBuffers() override { tree_->buffer().Clear(); }

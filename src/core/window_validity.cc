@@ -56,9 +56,11 @@ WindowValidityResult WindowValidityEngine::Query(const geo::Point& focus,
   const geo::Rect window = geo::Rect::Centered(focus, hx, hy);
 
   // Step 1: the result, and with it the inner validity rectangle. The
-  // backend returns entries in canonical (id) order, so everything
-  // downstream — hole order, influencer order, the wire encoding — is a
-  // pure function of the dataset, not of any particular tree layout.
+  // result ships, so it goes into canonical (id) order, as the kept outer
+  // objects do below: everything downstream — hole order, influencer
+  // order, the wire encoding — is a pure function of the dataset, not of
+  // any particular tree layout. The inner rectangle is an intersection,
+  // which no order changes.
   SpatialBackend* be = backend();
   const uint64_t na_before = be->node_accesses();
   const uint64_t pa_before = be->page_accesses();
@@ -66,6 +68,7 @@ WindowValidityResult WindowValidityEngine::Query(const geo::Point& focus,
   be->WindowQuery(window, &result);
   stats_.result_node_accesses = be->node_accesses() - na_before;
   stats_.result_page_accesses = be->page_accesses() - pa_before;
+  SpatialBackend::SortCanonical(&result);
 
   geo::Rect inner = universe_.Intersection(geo::Rect::Centered(
       focus, kMaxExtentFactor * hx, kMaxExtentFactor * hy));
@@ -86,7 +89,6 @@ WindowValidityResult WindowValidityEngine::Query(const geo::Point& focus,
   be->WindowQuery(marginal, &candidates);
   stats_.influence_node_accesses = be->node_accesses() - na_before2;
   stats_.influence_page_accesses = be->page_accesses() - pa_before2;
-  stats_.outer_candidates += candidates.size();
 
   // SoA two-pass candidate filter. Pass 1 maps every candidate to a keep
   // flag as a branch-free loop over contiguous coordinate arrays: a
@@ -96,8 +98,11 @@ WindowValidityResult WindowValidityEngine::Query(const geo::Point& focus,
   // closed containment). The arithmetic is exactly Rect::Centered +
   // Rect::Intersection + the IsEmpty/Area()==0 test of the scalar loop —
   // max/min of the identical operands, compared strictly — so the
-  // surviving set and its order are bit-identical. Pass 2 stages the
-  // surviving indices branchlessly, then materializes boxes in order.
+  // surviving set is bit-identical. Pass 2 stages the surviving indices
+  // branchlessly; the survivors then go into canonical order, and the
+  // boxes are materialized in that order. Pass 1 also counts the
+  // candidates outside the window: the ones the second query adds to the
+  // result it re-reads.
   const size_t n = candidates.size();
   thread_local FilterScratch scratch;
   scratch.xs.resize(n);
@@ -108,6 +113,7 @@ WindowValidityResult WindowValidityEngine::Query(const geo::Point& focus,
     scratch.xs[i] = candidates[i].point.x;
     scratch.ys[i] = candidates[i].point.y;
   }
+  size_t outside = 0;
   for (size_t i = 0; i < n; ++i) {
     const double x = scratch.xs[i];
     const double y = scratch.ys[i];
@@ -119,19 +125,23 @@ WindowValidityResult WindowValidityEngine::Query(const geo::Point& focus,
     const double omax_y = std::min(y + hy, inner.max_y);
     scratch.keep[i] = static_cast<uint8_t>(
         !in_window & (omin_x < omax_x) & (omin_y < omax_y));
+    outside += static_cast<size_t>(!in_window);
   }
+  stats_.outer_candidates = outside;
   size_t m = 0;
   for (size_t i = 0; i < n; ++i) {
     scratch.idx[m] = static_cast<uint32_t>(i);
     m += scratch.keep[i];
   }
   std::vector<rtree::DataEntry> outer_objects;
-  std::vector<geo::Rect> holes;
   outer_objects.reserve(m);
-  holes.reserve(m);
   for (size_t j = 0; j < m; ++j) {
-    const rtree::DataEntry& e = candidates[scratch.idx[j]];
-    outer_objects.push_back(e);
+    outer_objects.push_back(candidates[scratch.idx[j]]);
+  }
+  SpatialBackend::SortCanonical(&outer_objects);
+  std::vector<geo::Rect> holes;
+  holes.reserve(m);
+  for (const rtree::DataEntry& e : outer_objects) {
     holes.push_back(geo::Rect::Centered(e.point, hx, hy));
   }
 

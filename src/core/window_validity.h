@@ -33,7 +33,9 @@ class WindowValidityEngine {
     uint64_t influence_node_accesses = 0;  // NA of the outer-candidate query
     uint64_t result_page_accesses = 0;     // buffer misses of query 1
     uint64_t influence_page_accesses = 0;  // buffer misses of query 2
-    size_t outer_candidates = 0;           // points fetched by query 2
+    // Points query 2 fetched outside the query window (the ones inside
+    // are the result, read again).
+    size_t outer_candidates = 0;
   };
 
   WindowValidityEngine(rtree::RTree* tree, const geo::Rect& universe);

@@ -89,7 +89,6 @@ void FragmentRouter::WindowQuery(const geo::Rect& w,
     trees_[f]->WindowQuery(
         w, [out](const rtree::DataEntry& e) { out->push_back(e); });
   }
-  core::SpatialBackend::SortCanonical(out);
 }
 
 void FragmentRouter::DropBuffers() {

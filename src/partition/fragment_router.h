@@ -18,13 +18,19 @@
 // unchanged and cannot tell it from a single tree, because every
 // primitive reproduces the single-tree answer exactly:
 //
-//   * BrowseNearest runs one nearest-first stream whose heap starts
-//     with every non-empty fragment's root at mindist to the fragment's
-//     extent; nodes and objects of all fragments then share the heap's
+//   * BrowseNearest runs one nearest-first stream whose radix heap
+//     starts with every non-empty fragment's root at its squared mindist
+//     to the fragment's extent. The extent is the tree's bounding_box(),
+//     which contains the root MBR, so nothing the fragment pushes later
+//     is nearer than its root: the heap's keys never fall below the last
+//     pop. Nodes and objects of all fragments then share the heap's
 //     (distance, node first, id) order, so the objects come out exactly
 //     as one tree over the whole data set would hand them out.
 //   * WindowQuery fans out to the fragments whose extent intersects the
-//     window and re-sorts the union into the canonical (id, x, y) order.
+//     window and returns the union of their answers, fragment after
+//     fragment. The union is the single tree's answer set; the engines
+//     put what they ship into canonical order (core::SpatialBackend), so
+//     the order the union comes in never reaches the wire.
 //
 // The routing table (per-fragment extent + cardinality) is the one piece
 // of mutable shared state: the serving layer refreshes it after routing

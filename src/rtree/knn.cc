@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -282,46 +283,169 @@ std::vector<Neighbor> KnnBestFirstLegacy(RTree& tree, const geo::Point& q,
   return out;
 }
 
-size_t BrowseNearest(std::span<const StreamSource> sources,
-                     const geo::Point& q, const StreamVisitor& visit) {
-  // `key` is the squared (min)distance; `id` an object id or a node's
-  // page. Distances mirror geo::SquaredDistance / geo::SquaredMinDist
-  // exactly (this TU is built without FMA contraction), so the keys and
-  // the handed-out distances are bit-identical to KnnBestFirst's.
-  struct Item {
-    double key;
-    uint32_t id;
-    uint16_t is_object;
-    uint16_t source;
-    geo::Point point;  // objects only
+namespace {
+
+// One item of the nearest-first stream: a node or an object of source
+// `source`. `key` is the squared (min)distance; `id` an object id or a
+// node's page.
+struct StreamItem {
+  double key;
+  uint32_t id;
+  uint16_t is_object;
+  uint16_t source;
+  geo::Point point;  // objects only
+};
+
+// The stream's priority queue: a radix heap [Ahuja, Mehlhorn, Orlin and
+// Tarjan 1990], a monotone queue whose keys never fall below the last
+// key popped. The keys are non-negative doubles, whose bit patterns
+// order as the values do, so the heap runs on those bits. An item whose
+// key differs from the last pop `last_` waits in the bucket of the
+// highest bit where the two differ. A pop with no item at `last_` takes
+// the lowest non-empty bucket, makes its least key the new `last_`, and
+// moves each of its items to the bucket of its new highest differing
+// bit, always a lower one (every item of a bucket agrees with `last_`
+// above that bucket's bit, and so does their minimum). A push is an
+// append instead of a binary heap's sift; the work moves to the pops,
+// which touch only the lowest bucket. A stream pops a few dozen of the
+// hundreds of items it pushes, and an item moves down only a bucket or
+// two on average, most of them in the first refill. The items stay
+// where they were pushed, in one arena; a bucket holds each of its
+// items' key bits and arena index, so a move copies those 16 bytes, not
+// the item.
+//
+// The items at `last_` itself all tie on distance. They form a small
+// heap of their own, ordered by the stream's tie rule: nodes before
+// objects, then ascending id. (Then the point and the source, for the
+// degenerate duplicate ids and for pages of different trees: the order
+// is total, so it never depends on the order of the pushes.) Draining
+// them in that order before any larger key gives the stream's total
+// order: (squared distance, node before object, id).
+class StreamHeap {
+ public:
+  void Clear() {
+    for (uint64_t left = occupied_; left != 0; left &= left - 1) {
+      buckets_[static_cast<size_t>(std::countr_zero(left))].clear();
+    }
+    occupied_ = 0;
+    items_.clear();
+    tied_.clear();
+    last_ = 0;
+  }
+
+  bool empty() const { return occupied_ == 0 && tied_.empty(); }
+
+  // Monotonicity is the caller's promise: BrowseNearest pushes a node's
+  // children at their mindist, an object at its distance. A child's MBR
+  // lies inside its parent's (RTree::CheckInvariants) and a leaf's points
+  // inside its MBR, and the mindist and distance expressions round
+  // monotonically, so no key pushed on expanding an item is below that
+  // item's key, which is `last_`. A tree's root enters at 0, a router
+  // fragment's at its mindist to the tree's bounding_box(), which holds
+  // the root MBR (it grows on insert and never shrinks on delete), so
+  // the root's children are not nearer than the root either.
+  void Push(const StreamItem& item) {
+    const uint64_t bits = std::bit_cast<uint64_t>(item.key);
+    LBSQ_DCHECK(bits >= last_);
+    const auto i = static_cast<uint32_t>(items_.size());
+    items_.push_back(item);
+    if (bits == last_) {
+      PushTied(i);
+    } else {
+      Bucket(Entry{bits, i});
+    }
+  }
+
+  // The least item by (key, node before object, id). Requires !empty().
+  StreamItem Pop() {
+    if (tied_.empty()) Refill();
+    std::pop_heap(tied_.begin(), tied_.end(), TieLater{items_.data()});
+    const uint32_t top = tied_.back();
+    tied_.pop_back();
+    return items_[top];
+  }
+
+ private:
+  // A bucket's reference to an item: its key's bits and its index.
+  struct Entry {
+    uint64_t bits;
+    uint32_t item;
   };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.key != b.key) return a.key > b.key;
+
+  // Later in the tie order of items that share a key.
+  struct TieLater {
+    const StreamItem* items;
+    bool operator()(uint32_t i, uint32_t j) const {
+      const StreamItem& a = items[i];
+      const StreamItem& b = items[j];
       if (a.is_object != b.is_object) return a.is_object > b.is_object;
-      return a.id > b.id;
+      if (a.id != b.id) return a.id > b.id;
+      if (a.point.x != b.point.x) return a.point.x > b.point.x;
+      if (a.point.y != b.point.y) return a.point.y > b.point.y;
+      return a.source > b.source;
     }
   };
-  thread_local std::vector<Item> heap;
-  heap.clear();
-  auto push = [](const Item& item) {
-    heap.push_back(item);
-    std::push_heap(heap.begin(), heap.end(), Later{});
-  };
+
+  void PushTied(uint32_t i) {
+    tied_.push_back(i);
+    std::push_heap(tied_.begin(), tied_.end(), TieLater{items_.data()});
+  }
+
+  void Bucket(const Entry& e) {
+    const auto b = static_cast<size_t>(std::bit_width(e.bits ^ last_) - 1);
+    buckets_[b].push_back(e);
+    occupied_ |= uint64_t{1} << b;
+  }
+
+  // Moves the lowest non-empty bucket down; its least key becomes
+  // `last_`, and the items holding it the tied heap.
+  void Refill() {
+    const auto b = static_cast<size_t>(std::countr_zero(occupied_));
+    std::vector<Entry>& bucket = buckets_[b];
+    uint64_t least = std::numeric_limits<uint64_t>::max();
+    for (const Entry& e : bucket) least = std::min(least, e.bits);
+    last_ = least;
+    occupied_ &= ~(uint64_t{1} << b);
+    for (const Entry& e : bucket) {
+      if (e.bits == last_) {
+        PushTied(e.item);
+      } else {
+        Bucket(e);
+      }
+    }
+    bucket.clear();
+  }
+
+  std::vector<StreamItem> items_;  // every item pushed since Clear
+  // buckets_[b]: the items whose key's bits first differ from `last_`'s
+  // at bit b; bit b of occupied_ is set iff that bucket is non-empty.
+  std::array<std::vector<Entry>, 64> buckets_;
+  uint64_t occupied_ = 0;
+  std::vector<uint32_t> tied_;  // the items at `last_`, a TieLater heap
+  uint64_t last_ = 0;           // bits of the last key popped
+};
+
+}  // namespace
+
+size_t BrowseNearest(std::span<const StreamSource> sources,
+                     const geo::Point& q, const StreamVisitor& visit) {
+  thread_local StreamHeap heap;
+  heap.Clear();
 
   LBSQ_CHECK(sources.size() <= UINT16_MAX);
   for (size_t s = 0; s < sources.size(); ++s) {
     if (sources[s].tree->size() == 0) continue;
-    push(Item{sources[s].root_mindist2, sources[s].tree->root(), 0,
-              static_cast<uint16_t>(s), {}});
+    heap.Push(StreamItem{sources[s].root_mindist2, sources[s].tree->root(), 0,
+                         static_cast<uint16_t>(s), {}});
   }
 
+  // Distances mirror geo::SquaredDistance / geo::SquaredMinDist exactly
+  // (this TU is built without FMA contraction), so the keys and the
+  // handed-out distances are bit-identical to KnnBestFirst's.
   double stop2 = std::numeric_limits<double>::infinity();
   size_t roots_expanded = 0;
   while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    const Item top = heap.back();
-    heap.pop_back();
+    const StreamItem top = heap.Pop();
     if (!(top.key < stop2)) break;
     if (top.is_object != 0) {
       stop2 =
@@ -343,7 +467,7 @@ size_t BrowseNearest(std::span<const StreamSource> sources,
         const double dy = q.y - y;
         const double d2 = dx * dx + dy * dy;
         if (d2 < stop2) {
-          push(Item{d2, node.object_id(i), 1, top.source, {x, y}});
+          heap.Push(StreamItem{d2, node.object_id(i), 1, top.source, {x, y}});
         }
       }
     } else {
@@ -358,7 +482,7 @@ size_t BrowseNearest(std::span<const StreamSource> sources,
                                    q.y - LoadF64(yhi, i));
         const double md2 = dx * dx + dy * dy;
         if (md2 < stop2) {
-          push(Item{md2, node.child_page(i), 0, top.source, {}});
+          heap.Push(StreamItem{md2, node.child_page(i), 0, top.source, {}});
         }
       }
     }

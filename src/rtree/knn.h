@@ -45,8 +45,10 @@ std::vector<Neighbor> KnnBestFirstLegacy(RTree& tree, const geo::Point& q,
 // -- Resumable nearest-first stream -----------------------------------------
 
 // One tree of a nearest-first stream, entered at its root.
-// `root_mindist2` lower-bounds the squared distance from the query point
-// to every point of the tree (0 always qualifies).
+// `root_mindist2` must not exceed the squared mindist from the query
+// point to the root's MBR, so that no node or object of the tree is
+// nearer than its root: the squared mindist to any rectangle holding the
+// root MBR, such as RTree::bounding_box(), qualifies, and so does 0.
 struct StreamSource {
   RTree* tree = nullptr;
   double root_mindist2 = 0.0;
@@ -66,16 +68,19 @@ using StreamVisitor = std::function<double(const Neighbor&)>;
 // are exhausted, or after a node fetch leaves a pending read error
 // (storage::PageStore::PendingReadError; the caller checks it).
 //
-// Nodes and objects share one heap, ordered by (squared distance, node
-// before object, id): an object is only handed out once no node at its
-// distance is left unexpanded, so an equal-distance object with a
-// smaller id cannot hide in one. The objects' order is therefore the
+// Nodes and objects share one queue, popped in (squared distance, node
+// before object, id) order: an object is only handed out once no node
+// at its distance is left unexpanded, so an equal-distance object with
+// a smaller id cannot hide in one. The objects' order is therefore the
 // same however they are split across trees and nodes. Items at or beyond
 // the stop radius are dropped when pushed, which loses nothing because
 // the radius only shrinks.
 //
-// The heap is per-thread scratch, reused across calls: `visit` must not
-// start another stream on the same thread. Returns the number of
+// The queue is a radix heap on the bits of the squared distance: no
+// item is nearer than the one whose expansion pushed it, so the keys
+// pushed never fall below the last key popped (see StreamHeap in
+// knn.cc). It is per-thread scratch, reused across calls: `visit` must
+// not start another stream on the same thread. Returns the number of
 // sources whose root was expanded.
 size_t BrowseNearest(std::span<const StreamSource> sources,
                      const geo::Point& q, const StreamVisitor& visit);

@@ -217,6 +217,8 @@ TEST(FragmentRouterTest, DegenerateSingleFragmentMatchesTree) {
 }
 
 TEST(FragmentRouterTest, WindowSpanningAllFragmentsReturnsCanonicalUnion) {
+  // The router returns the union in fragment order, one tree in its own
+  // traversal order; in canonical order the two are the same entries.
   const auto dataset = workload::MakeUnitUniform(3000, 43);
   TreeFixture single(dataset.entries, 64);
   for (size_t k : {2u, 4u, 8u}) {
@@ -226,7 +228,13 @@ TEST(FragmentRouterTest, WindowSpanningAllFragmentsReturnsCanonicalUnion) {
     oracle.WindowQuery(kUnit, &expect);  // the whole universe
     sharded.router->WindowQuery(kUnit, &got);
     ASSERT_EQ(expect.size(), dataset.entries.size());
-    ASSERT_EQ(test::Ids(expect), test::Ids(got)) << "K " << k;
+    core::SpatialBackend::SortCanonical(&expect);
+    core::SpatialBackend::SortCanonical(&got);
+    ASSERT_EQ(got.size(), expect.size()) << "K " << k;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].id, expect[i].id) << "K " << k << " pos " << i;
+      ASSERT_EQ(got[i].point, expect[i].point) << "K " << k << " pos " << i;
+    }
   }
 }
 
