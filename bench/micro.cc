@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): wall-clock latency of the core
-// operations — plain k-NN search, TPNN, full location-based NN and window
-// queries, the [SR01] client step and the Voronoi-index query. These are
-// not paper figures (the paper reports I/O counts); they document the CPU
-// cost of the implementation.
+// operations — the index bulk load, plain k-NN search, TPNN, full
+// location-based NN and window queries, the [SR01] client step and the
+// Voronoi-index query. These are not paper figures (the paper reports
+// I/O counts); they document the CPU cost of the implementation.
 
 #include <algorithm>
 #include <cstring>
@@ -48,6 +48,21 @@ std::vector<geo::Point>& SharedQueries() {
       workload::MakeDataDistributedQueries(SharedBench().dataset, 1024, 5);
   return queries;
 }
+
+// Index build: an STR bulk load of n uniform points into a fresh
+// unbuffered tree, as the serving benchmark's set-up loads one (the
+// entry copy, the radix orders and the page writes). Arg: points.
+void BM_BulkLoad(benchmark::State& state) {
+  const workload::Dataset dataset =
+      workload::MakeUnitUniform(static_cast<size_t>(state.range(0)), 4242);
+  for (auto _ : state) {
+    storage::PageManager disk;
+    rtree::RTree tree(&disk, 0);
+    tree.BulkLoad(dataset.entries);
+    benchmark::DoNotOptimize(tree.root());
+  }
+}
+BENCHMARK(BM_BulkLoad)->Arg(20000)->Arg(100000)->Apply(MinOfRounds);
 
 void BM_KnnBestFirst(benchmark::State& state) {
   auto& wb = SharedBench();

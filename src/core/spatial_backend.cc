@@ -1,11 +1,10 @@
 #include "core/spatial_backend.h"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <cstdint>
-#include <utility>
 #include <vector>
+
+#include "common/radix_sort.h"
 
 namespace lbsq::core {
 
@@ -48,36 +47,11 @@ void SpatialBackend::SortCanonical(std::vector<rtree::DataEntry>* entries) {
     return;
   }
 
-  // One pass counts the digits of all four id bytes.
-  std::array<std::array<uint32_t, 256>, 4> counts{};
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t id = data[i].id;
-    ++counts[0][id & 0xff];
-    ++counts[1][(id >> 8) & 0xff];
-    ++counts[2][(id >> 16) & 0xff];
-    ++counts[3][id >> 24];
-  }
-
-  // LSD passes, least significant byte first; each scatter is stable, so
-  // after the last pass the entries are in ascending id order and equal
-  // ids keep their input order. A byte that every id shares puts all
-  // entries in one bucket, and its pass would copy them in place.
+  // Ascending id order, equal ids in their input order.
   thread_local std::vector<rtree::DataEntry> scratch;
-  scratch.resize(n);
-  rtree::DataEntry* src = data;
-  rtree::DataEntry* dst = scratch.data();
-  for (unsigned byte = 0; byte < 4; ++byte) {
-    const unsigned shift = 8 * byte;
-    std::array<uint32_t, 256>& offset = counts[byte];
-    if (offset[(src[0].id >> shift) & 0xff] == n) continue;
-    uint32_t sum = 0;
-    for (uint32_t& c : offset) sum += std::exchange(c, sum);
-    for (size_t i = 0; i < n; ++i) {
-      dst[offset[(src[i].id >> shift) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != data) std::copy(src, src + n, data);
+  if (scratch.size() < n) scratch.resize(n);
+  RadixSort(data, n, scratch.data(),
+            [](const rtree::DataEntry& e) { return e.id; });
 
   // Runs of equal ids, ordered by (x, y).
   for (size_t i = 0; i < n;) {

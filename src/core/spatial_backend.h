@@ -74,10 +74,11 @@ class SpatialBackend {
   // Sorts `entries` into canonical order: ascending object id, with
   // (x, y) as a total-order tiebreak for the degenerate duplicate-id
   // case. Exact comparisons only, so the order is bit-deterministic. A
-  // stable LSD radix sort on the 32-bit id (8-bit digits; a byte every
-  // id shares costs no pass), then each run of equal ids ordered by
-  // (x, y); inputs below a small cutoff take an insertion sort. The
-  // result equals std::stable_sort under the (id, x, y) comparison.
+  // stable LSD radix sort on the 32-bit id (common/radix_sort.h: 8-bit
+  // digits; a byte every id shares costs no pass), then each run of
+  // equal ids ordered by (x, y); inputs below a small cutoff take an
+  // insertion sort. The result equals std::stable_sort under the
+  // (id, x, y) comparison.
   static void SortCanonical(std::vector<rtree::DataEntry>* entries);
 };
 

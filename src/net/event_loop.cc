@@ -79,7 +79,9 @@ struct EventLoop::Connection final : ReplySink {
 };
 
 EventLoop::EventLoop(FrameHandler* handler, const NetOptions& options)
-    : handler_(handler), options_(options) {}
+    : handler_(handler),
+      options_(options),
+      read_buffer_(options.read_chunk_bytes) {}
 
 EventLoop::~EventLoop() {
   for (auto& conn : connections_) {
@@ -206,7 +208,7 @@ void EventLoop::DispatchFrames(Connection* conn) {
 }
 
 bool EventLoop::HandleReadable(Connection* conn, Clock::time_point now) {
-  std::vector<uint8_t> chunk(options_.read_chunk_bytes);
+  std::vector<uint8_t>& chunk = read_buffer_;
   bool got_bytes = false;
   for (;;) {
     const ssize_t n = ::recv(conn->fd, chunk.data(), chunk.size(), 0);

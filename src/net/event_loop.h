@@ -182,6 +182,10 @@ class EventLoop {
   uint64_t next_connection_id_ = 1;
   // Last OnTick() answer: ms until the handler's next scheduled work.
   int tick_hint_ms_ = -1;
+  // recv() target of HandleReadable, read_chunk_bytes long, allocated
+  // once for the loop's lifetime: every read is fed to a connection's
+  // decoder before the next one overwrites it.
+  std::vector<uint8_t> read_buffer_;
   NetStats stats_;
 };
 

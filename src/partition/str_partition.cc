@@ -9,25 +9,36 @@ namespace lbsq::partition {
 
 namespace {
 
-// Positions of the K-1 interior boundaries for splitting `values`
-// (sorted ascending) into `parts` equal-cardinality runs: boundary j is
-// the value opening run j+1, so the half-open "value >= boundary goes
-// right" routing reproduces the split. Falls back to an even geometric
-// split of [lo, hi] when there are no values to derive from.
-std::vector<double> SplitBounds(const std::vector<double>& values,
-                                size_t parts, double lo, double hi) {
+// Positions of the interior boundaries that split `values` (in any
+// order) into equal-cardinality runs, one boundary per entry of
+// `cum_parts` (ascending, each < `parts`): boundary j is the order
+// statistic at n * cum_parts[j] / parts (capped at n - 1), the value
+// opening run j + 1, so the half-open "value >= boundary goes right"
+// routing reproduces the split. Each statistic is selected with
+// std::nth_element among the values not yet below an earlier cut, so
+// `values` ends partially ordered. The k-th order statistic is one
+// value, the one a full sort would put at k. With no values the
+// boundaries split [lo, hi] evenly.
+std::vector<double> SelectBounds(std::vector<double>* values,
+                                 const std::vector<size_t>& cum_parts,
+                                 size_t parts, double lo, double hi) {
   std::vector<double> bounds;
-  bounds.reserve(parts - 1);
-  const size_t n = values.size();
-  for (size_t j = 1; j < parts; ++j) {
+  bounds.reserve(cum_parts.size());
+  const size_t n = values->size();
+  size_t selected = 0;  // values[0, selected) are all <= later cuts
+  for (const size_t j : cum_parts) {
     if (n == 0) {
       bounds.push_back(lo + (hi - lo) * static_cast<double>(j) /
                                 static_cast<double>(parts));
-    } else {
-      size_t cut = n * j / parts;
-      if (cut >= n) cut = n - 1;
-      bounds.push_back(values[cut]);
+      continue;
     }
+    size_t cut = n * j / parts;
+    if (cut >= n) cut = n - 1;
+    std::nth_element(values->begin() + static_cast<ptrdiff_t>(selected),
+                     values->begin() + static_cast<ptrdiff_t>(cut),
+                     values->end());
+    bounds.push_back((*values)[cut]);
+    selected = cut;
   }
   return bounds;
 }
@@ -47,32 +58,25 @@ PartitionLayout::PartitionLayout(const std::vector<rtree::DataEntry>& entries,
   std::vector<size_t> bands_per_slab(slabs, fragments / slabs);
   for (size_t s = 0; s < fragments % slabs; ++s) ++bands_per_slab[s];
 
-  // Slab x boundaries: split the x-sorted coordinates so each slab's
-  // share of the data is proportional to its band count.
+  // Slab x boundaries: split the x coordinates so each slab's share of
+  // the data is proportional to its band count.
   std::vector<double> xs;
   xs.reserve(entries.size());
   for (const rtree::DataEntry& e : entries) xs.push_back(e.point.x);
-  std::sort(xs.begin(), xs.end());
-  const size_t n = xs.size();
-  slab_bounds_.reserve(slabs - 1);
-  size_t cum_bands = 0;
+  std::vector<size_t> cum_bands;
   for (size_t s = 0; s + 1 < slabs; ++s) {
-    cum_bands += bands_per_slab[s];
-    if (n == 0) {
-      slab_bounds_.push_back(universe.min_x +
-                             (universe.max_x - universe.min_x) *
-                                 static_cast<double>(cum_bands) /
-                                 static_cast<double>(fragments));
-    } else {
-      size_t cut = n * cum_bands / fragments;
-      if (cut >= n) cut = n - 1;
-      slab_bounds_.push_back(xs[cut]);
-    }
+    cum_bands.push_back((s == 0 ? 0 : cum_bands.back()) + bands_per_slab[s]);
   }
+  slab_bounds_ = SelectBounds(&xs, cum_bands, fragments, universe.min_x,
+                              universe.max_x);
 
   // Band y boundaries within each slab, derived from the entries the
   // slab actually routes (the >= rule), so assignment and boundaries
   // agree even with duplicate coordinates on a cut.
+  std::vector<std::vector<double>> slab_ys(slabs);
+  for (const rtree::DataEntry& e : entries) {
+    slab_ys[SlabOf(e.point.x)].push_back(e.point.y);
+  }
   band_bounds_.resize(slabs);
   slab_first_fragment_.resize(slabs);
   size_t next_fragment = 0;
@@ -81,13 +85,10 @@ PartitionLayout::PartitionLayout(const std::vector<rtree::DataEntry>& entries,
     next_fragment += bands_per_slab[s];
     const double lo_x = s == 0 ? universe.min_x : slab_bounds_[s - 1];
     const double hi_x = s + 1 == slabs ? universe.max_x : slab_bounds_[s];
-    std::vector<double> ys;
-    for (const rtree::DataEntry& e : entries) {
-      if (SlabOf(e.point.x) == s) ys.push_back(e.point.y);
-    }
-    std::sort(ys.begin(), ys.end());
-    band_bounds_[s] =
-        SplitBounds(ys, bands_per_slab[s], universe.min_y, universe.max_y);
+    std::vector<size_t> band_cuts;
+    for (size_t b = 1; b < bands_per_slab[s]; ++b) band_cuts.push_back(b);
+    band_bounds_[s] = SelectBounds(&slab_ys[s], band_cuts, bands_per_slab[s],
+                                   universe.min_y, universe.max_y);
 
     // Ownership rectangles for this slab's bands.
     for (size_t b = 0; b < bands_per_slab[s]; ++b) {

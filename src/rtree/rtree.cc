@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/radix_sort.h"
 
 namespace lbsq::rtree {
 
@@ -19,15 +20,36 @@ double OverlapArea(const geo::Rect& a, const geo::Rect& b) {
   return a.Intersection(b).Area();
 }
 
-// Sum of the overlap of `candidate` with every other child of the node.
-double TotalOverlap(const std::vector<ChildEntry>& children, size_t skip,
-                    const geo::Rect& candidate) {
-  double total = 0.0;
-  for (size_t i = 0; i < children.size(); ++i) {
-    if (i == skip) continue;
-    total += OverlapArea(candidate, children[i].mbr);
+// True iff the closed intersection of `a` and `b` has positive width and
+// height. Otherwise that intersection is empty or has a width or height
+// of +0.0, so OverlapArea(a, b) is +0.0 whenever b's extents are finite,
+// and so is the overlap with `b` of any rectangle inside `a`.
+bool OverlapsWithArea(const geo::Rect& a, const geo::Rect& b) {
+  return a.min_x < b.max_x && b.min_x < a.max_x && a.min_y < b.max_y &&
+         b.min_y < a.max_y;
+}
+
+// The R* overlap enlargement of child `i` growing from `mbr` to `grown`:
+// the sum, in child order, of grown's overlap area with every sibling,
+// minus the same sum for `mbr`. Both sums start at +0.0 and a zero term
+// leaves a sum's value unchanged, so skipping the siblings that grown
+// meets without positive area (they add zero to both sums, since mbr
+// lies inside grown) keeps both sums and the difference exact. When the
+// child already holds the entry, grown equals mbr and the two sums are
+// the same expression: one evaluation serves for both.
+double OverlapDelta(const std::vector<ChildEntry>& children, size_t i,
+                    const geo::Rect& mbr, const geo::Rect& grown) {
+  const bool same = grown == mbr;
+  double grown_sum = 0.0;
+  double mbr_sum = 0.0;
+  for (size_t j = 0; j < children.size(); ++j) {
+    if (j == i) continue;
+    const geo::Rect& sibling = children[j].mbr;
+    if (!OverlapsWithArea(grown, sibling)) continue;
+    grown_sum += OverlapArea(grown, sibling);
+    if (!same) mbr_sum += OverlapArea(mbr, sibling);
   }
-  return total;
+  return grown_sum - (same ? grown_sum : mbr_sum);
 }
 
 }  // namespace
@@ -122,21 +144,27 @@ size_t RTree::ChooseSubtree(const Node& node, const geo::Rect& r) {
   size_t best = 0;
   if (node.level == 1) {
     // Children are leaves: minimize overlap enlargement, then area
-    // enlargement, then area (the R* criterion).
+    // enlargement, then area (the R* criterion), first index on a tie.
+    // Overlap enlargements are never negative: grown contains mbr, so
+    // each term of grown's sum is at least the matching term of mbr's,
+    // and rounding preserves that order through the sums. Once the best
+    // is 0, a child can only win with a smaller (enlargement, area), and
+    // the others need no overlap sums.
     double best_overlap_delta = std::numeric_limits<double>::infinity();
     double best_enlarge = std::numeric_limits<double>::infinity();
     double best_area = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < node.children.size(); ++i) {
       const geo::Rect& mbr = node.children[i].mbr;
       const geo::Rect grown = mbr.ExpandedToInclude(r);
-      const double overlap_delta = TotalOverlap(node.children, i, grown) -
-                                   TotalOverlap(node.children, i, mbr);
       const double enlarge = grown.Area() - mbr.Area();
       const double area = mbr.Area();
+      const bool smaller_tail = enlarge < best_enlarge ||
+                                (enlarge == best_enlarge && area < best_area);
+      if (best_overlap_delta == 0.0 && !smaller_tail) continue;
+      const double overlap_delta =
+          OverlapDelta(node.children, i, mbr, grown);
       if (overlap_delta < best_overlap_delta ||
-          (overlap_delta == best_overlap_delta &&
-           (enlarge < best_enlarge ||
-            (enlarge == best_enlarge && area < best_area)))) {
+          (overlap_delta == best_overlap_delta && smaller_tail)) {
         best = i;
         best_overlap_delta = overlap_delta;
         best_enlarge = enlarge;
@@ -445,28 +473,34 @@ void RTree::BulkLoad(std::vector<DataEntry> entries, double fill) {
   const auto int_cap = std::max<size_t>(
       2, static_cast<size_t>(fill * options_.internal_capacity));
 
-  // Level 0: tile the points into leaf pages.
-  std::sort(entries.begin(), entries.end(),
-            [](const DataEntry& a, const DataEntry& b) {
-              return a.point.x < b.point.x;
-            });
+  // Level 0: order the points by x, cut them into slices of whole
+  // leaves, and order each slice by y. Radix passes on the coordinates'
+  // total-order images stand in for comparison sorts; equal coordinates
+  // keep their input order. The scratch is freed before any page is
+  // written.
   const size_t num_leaves = (entries.size() + leaf_cap - 1) / leaf_cap;
   const auto num_slices =
       static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(num_leaves))));
   const size_t slice_size =
       (entries.size() + num_slices - 1) / num_slices;
+  {
+    std::vector<DataEntry> scratch(entries.size());
+    RadixSort(entries.data(), entries.size(), scratch.data(),
+              [](const DataEntry& e) { return OrderedBits(e.point.x); });
+    for (size_t s = 0; s < entries.size(); s += slice_size) {
+      const size_t slice_end = std::min(entries.size(), s + slice_size);
+      RadixSort(entries.data() + s, slice_end - s, scratch.data(),
+                [](const DataEntry& e) { return OrderedBits(e.point.y); });
+    }
+  }
 
+  // Pack each slice into leaves of leaf_cap points.
   std::vector<ChildEntry> level_entries;
   level_entries.reserve(num_leaves);
   // The initial empty root page is reused as the first leaf.
   bool reused_root = false;
   for (size_t s = 0; s < entries.size(); s += slice_size) {
     const size_t slice_end = std::min(entries.size(), s + slice_size);
-    std::sort(entries.begin() + static_cast<ptrdiff_t>(s),
-              entries.begin() + static_cast<ptrdiff_t>(slice_end),
-              [](const DataEntry& a, const DataEntry& b) {
-                return a.point.y < b.point.y;
-              });
     for (size_t i = s; i < slice_end; i += leaf_cap) {
       Node leaf;
       leaf.level = 0;

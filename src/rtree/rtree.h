@@ -85,6 +85,13 @@ class RTree {
   // Sort-Tile-Recursive bulk load; requires an empty tree. Packs leaves to
   // ~`fill` of capacity (the paper's trees are built by insertion; STR at
   // 70% gives the same occupancy and is far faster for the 1M-point runs).
+  // The points are ordered by x, cut into ceil(sqrt(leaves)) slices, and
+  // each slice is ordered by y and cut into leaves; upper levels pack
+  // the leaves in that order. Both orders are stable radix orders on
+  // the IEEE total order of the coordinate (common/radix_sort.h), so
+  // the pages are a pure function of the input sequence: points with
+  // equal coordinates keep their input order, and -0.0 comes before
+  // +0.0.
   void BulkLoad(std::vector<DataEntry> entries, double fill = 0.7);
 
   // -- Queries -------------------------------------------------------------
@@ -173,6 +180,14 @@ class RTree {
   // Aborts via LBSQ_CHECK on violation. Test-only helper.
   void CheckInvariants();
 
+  // R* ChooseSubtree among the children of internal `node` for an entry
+  // with MBR `r`: the index of the child the insert descends into. Above
+  // the leaf-parent level it minimizes area enlargement, then area; at
+  // the leaf-parent level overlap enlargement comes first, with exact
+  // pruning (rtree.cc) that leaves every choice equal to the full
+  // O(n^2) criterion's. Public so tests can hold it to that criterion.
+  static size_t ChooseSubtree(const Node& node, const geo::Rect& r);
+
  private:
   struct SplitResult {
     ChildEntry left;   // updated original node
@@ -197,9 +212,6 @@ class RTree {
                                              const DataEntry& data_entry,
                                              uint16_t target_level,
                                              geo::Rect* self_mbr);
-
-  // R* ChooseSubtree among `node`'s children for an entry with MBR `r`.
-  size_t ChooseSubtree(const Node& node, const geo::Rect& r);
 
   // R* forced reinsert: removes the reinsert_fraction entries of `node`
   // (at page_id) farthest from its MBR center and re-inserts them from the

@@ -60,7 +60,9 @@ Page* LruBufferPool::MutablePage(PageId id) {
     return &frame.page;
   }
   ++misses_;
-  return &InsertFrame(id, /*dirty=*/true)->page;
+  Page* page = &InsertFrame(id, /*dirty=*/true)->page;
+  page->Clear();
+  return page;
 }
 
 void LruBufferPool::Discard(PageId id) {
@@ -106,9 +108,20 @@ LruBufferPool::Frame& LruBufferPool::Touch(FrameList::iterator it) {
 
 LruBufferPool::FrameList::iterator LruBufferPool::InsertFrame(PageId id,
                                                               bool dirty) {
-  while (map_.size() >= capacity_) EvictOne();
-  const FrameList::iterator it =
-      frames_.insert(old_begin_, Frame{id, Page(), dirty, /*young=*/false});
+  LBSQ_DCHECK(map_.size() <= capacity_);  // Resize evicts at once
+  FrameList::iterator it;
+  if (map_.size() == capacity_) {
+    // Full: the victim's list node becomes the fresh frame, moved to
+    // where a new node would be inserted, so its page is reused instead
+    // of freed and reallocated.
+    it = UnlinkVictim();
+    frames_.splice(old_begin_, frames_, it);
+  } else {
+    it = frames_.emplace(old_begin_);
+  }
+  it->id = id;
+  it->dirty = dirty;
+  it->young = false;
   old_begin_ = it;
   ++old_len_;
   ++midpoint_insertions_;
@@ -117,7 +130,7 @@ LruBufferPool::FrameList::iterator LruBufferPool::InsertFrame(PageId id,
   return it;
 }
 
-void LruBufferPool::EvictOne() {
+LruBufferPool::FrameList::iterator LruBufferPool::UnlinkVictim() {
   LBSQ_CHECK(!frames_.empty());
   const FrameList::iterator victim = std::prev(frames_.end());
   if (victim == old_begin_) old_begin_ = frames_.end();
@@ -128,8 +141,10 @@ void LruBufferPool::EvictOne() {
   }
   WriteBack(*victim);
   map_.Erase(victim->id);
-  frames_.erase(victim);
+  return victim;
 }
+
+void LruBufferPool::EvictOne() { frames_.erase(UnlinkVictim()); }
 
 void LruBufferPool::EvictIfNeeded() {
   while (map_.size() > capacity_) EvictOne();

@@ -114,11 +114,17 @@ class LruBufferPool {
   // Moves the frame to the young MRU position (promoting it if it was
   // old) and returns it.
   Frame& Touch(FrameList::iterator it);
-  // Inserts a fresh frame for `id` at the old-sublist head and returns
-  // its iterator. Evicts first when full, so the fresh frame can never
-  // be its own victim.
+  // Inserts a frame for `id` at the old-sublist head and returns its
+  // iterator. When the pool is full it evicts first and reuses the
+  // victim's node, page included, so the frame can never be its own
+  // victim; the page's bytes are then unspecified (a new node starts
+  // zeroed), and every caller overwrites or clears them.
   FrameList::iterator InsertFrame(PageId id, bool dirty);
-  // Evicts the global tail (old tail when the old sublist is nonempty).
+  // Evicts the global tail (old tail when the old sublist is nonempty):
+  // writes it back if dirty and drops it from the map and the sublist
+  // bookkeeping, but leaves its node in the list for the caller to
+  // erase or reuse.
+  FrameList::iterator UnlinkVictim();
   void EvictOne();
   void EvictIfNeeded();
   // Refills the old sublist up to OldTarget() by demoting young-tail

@@ -11,6 +11,11 @@
 //   * core::SpatialBackend::SortCanonical equals std::stable_sort under
 //     the canonical (id, x, y) comparison, bit for bit, on adversarial id
 //     patterns, at sizes around its insertion-sort cutoff and beyond.
+//   * The radix helper under both (common/radix_sort.h): RadixSort
+//     equals std::stable_sort on the same unsigned key, and OrderedBits
+//     orders finite doubles as operator< does, with -0.0 just before
+//     +0.0, on signed zeros, denormals, negatives, +-DBL_MAX, all-equal
+//     keys and keys that differ in one byte.
 
 #include <algorithm>
 #include <bit>
@@ -24,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/radix_sort.h"
 #include "common/rng.h"
 #include "core/spatial_backend.h"
 #include "geometry/point.h"
@@ -352,6 +358,148 @@ TEST(SortCanonicalTest, EqualsStableSortOnAdversarialIds) {
         ASSERT_FALSE(HasFatalFailure());
       }
     }
+  }
+}
+
+// -- RadixSort and OrderedBits ------------------------------------------------
+
+constexpr size_t kRadixSizes[] = {0, 1, 2, 31, 32, 33, 4096};
+
+// An element whose tag records its input position, so a comparison of
+// tags shows whether equal keys kept their input order.
+template <typename V>
+struct Tagged {
+  V value;
+  uint32_t tag;
+};
+
+template <typename V, typename KeyFn>
+void ExpectRadixEqualsStableSort(const std::vector<V>& values, KeyFn key,
+                                 const std::string& where) {
+  std::vector<Tagged<V>> items;
+  for (size_t i = 0; i < values.size(); ++i) {
+    items.push_back({values[i], static_cast<uint32_t>(i)});
+  }
+  auto tagged_key = [&key](const Tagged<V>& t) { return key(t.value); };
+  std::vector<Tagged<V>> expect = items;
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&](const Tagged<V>& a, const Tagged<V>& b) {
+                     return tagged_key(a) < tagged_key(b);
+                   });
+  std::vector<Tagged<V>> scratch(items.size());
+  RadixSort(items.data(), items.size(), scratch.data(), tagged_key);
+  ASSERT_EQ(items.size(), expect.size()) << where;
+  for (size_t i = 0; i < items.size(); ++i) {
+    ASSERT_EQ(items[i].tag, expect[i].tag) << where << " pos " << i;
+  }
+}
+
+// A finite double whose bits are `base`'s with byte `byte` replaced.
+// 2.0's exponent bits below byte 7 are zero, so no replacement reaches
+// the all-ones exponent of an infinity or a NaN.
+double WithByte(unsigned byte, uint64_t value) {
+  const uint64_t base = std::bit_cast<uint64_t>(2.0);
+  const unsigned shift = 8 * byte;
+  return std::bit_cast<double>((base & ~(uint64_t{0xff} << shift)) |
+                               (value << shift));
+}
+
+TEST(OrderedBitsTest, OrdersFiniteDoublesWithNegativeZeroFirst) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> ascending = {
+      -kMax, -1e300, -1.0, -kMin, -1e-310, -kDenorm, -0.0,
+      0.0,   kDenorm, 1e-310, kMin, 1.0, 1e300, kMax};
+  for (size_t i = 1; i < ascending.size(); ++i) {
+    EXPECT_LT(OrderedBits(ascending[i - 1]), OrderedBits(ascending[i]))
+        << ascending[i - 1] << " vs " << ascending[i];
+  }
+  EXPECT_EQ(OrderedBits(-0.0) + 1, OrderedBits(0.0));
+  // A negative value has all its bits flipped, a non-negative one its
+  // sign bit set.
+  EXPECT_EQ(OrderedBits(-1.5), ~std::bit_cast<uint64_t>(-1.5));
+  EXPECT_EQ(OrderedBits(1.5),
+            std::bit_cast<uint64_t>(1.5) | (uint64_t{1} << 63));
+}
+
+TEST(RadixSortTest, DoubleKeysEqualStableSortInTheTotalOrder) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {0.0,     -0.0,    kDenorm, -kDenorm, 1e-310,
+                             -1e-310, 1.0,     -1.0,    kMax,     -kMax,
+                             1e300,   -1e300,  0.5,     -0.5};
+  using Draw = double (*)(Rng*);
+  struct Source {
+    const char* name;
+    Draw draw;
+  };
+  static const double* const kSpecials = specials;
+  const Source sources[] = {
+      {"specials",
+       [](Rng* rng) { return kSpecials[rng->NextBounded(14)]; }},
+      {"negatives", [](Rng* rng) { return -1e6 * (rng->NextDouble() + 1e-9); }},
+      {"mixed signs", [](Rng* rng) { return rng->Uniform(-1.0, 1.0); }},
+      {"all equal", [](Rng*) { return -0.75; }},
+      {"byte 0", [](Rng* rng) { return WithByte(0, rng->NextBounded(256)); }},
+      {"byte 3", [](Rng* rng) { return WithByte(3, rng->NextBounded(256)); }},
+      {"byte 6", [](Rng* rng) { return WithByte(6, rng->NextBounded(256)); }},
+      {"byte 7", [](Rng* rng) { return WithByte(7, rng->NextBounded(256)); }},
+  };
+  Rng rng(91);
+  for (const Source& source : sources) {
+    for (const size_t n : kRadixSizes) {
+      std::vector<double> values;
+      for (size_t i = 0; i < n; ++i) values.push_back(source.draw(&rng));
+      const std::string where =
+          std::string(source.name) + " n " + std::to_string(n);
+      ExpectRadixEqualsStableSort(values, OrderedBits, where);
+      ASSERT_FALSE(HasFatalFailure());
+      // The total order is operator<'s, with -0.0 before +0.0.
+      std::vector<double> sorted = values;
+      std::vector<double> scratch(n);
+      RadixSort(sorted.data(), n, scratch.data(), OrderedBits);
+      for (size_t i = 1; i < n; ++i) {
+        ASSERT_FALSE(sorted[i] < sorted[i - 1]) << where << " pos " << i;
+        if (sorted[i] == 0.0 && sorted[i - 1] == 0.0) {
+          ASSERT_FALSE(!std::signbit(sorted[i - 1]) && std::signbit(sorted[i]))
+              << where << " pos " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(RadixSortTest, IntegerKeysEqualStableSort) {
+  Rng rng(92);
+  for (const size_t n : kRadixSizes) {
+    for (unsigned byte = 0; byte < 8; ++byte) {
+      std::vector<uint64_t> values;
+      for (size_t i = 0; i < n; ++i) {
+        values.push_back(0x0123456789abcdefULL ^
+                         (rng.NextBounded(256) << (8 * byte)));
+      }
+      ExpectRadixEqualsStableSort(
+          values, [](uint64_t v) { return v; },
+          "u64 byte " + std::to_string(byte) + " n " + std::to_string(n));
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    std::vector<uint32_t> few, equal, any;
+    std::vector<uint8_t> bytes;
+    for (size_t i = 0; i < n; ++i) {
+      few.push_back(static_cast<uint32_t>(rng.NextBounded(3)) << 24);
+      equal.push_back(0xdeadbeefu);
+      any.push_back(static_cast<uint32_t>(rng.NextU64()));
+      bytes.push_back(static_cast<uint8_t>(rng.NextBounded(4)));
+    }
+    const std::string size = " n " + std::to_string(n);
+    auto identity32 = [](uint32_t v) { return v; };
+    ExpectRadixEqualsStableSort(few, identity32, "u32 few" + size);
+    ExpectRadixEqualsStableSort(equal, identity32, "u32 equal" + size);
+    ExpectRadixEqualsStableSort(any, identity32, "u32 any" + size);
+    ExpectRadixEqualsStableSort(
+        bytes, [](uint8_t v) { return v; }, "u8" + size);
+    ASSERT_FALSE(HasFatalFailure());
   }
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -87,6 +88,104 @@ TEST(PartitionLayoutTest, TilesUniverseAndRoutesConsistently) {
     for (const auto& bucket : buckets) {
       EXPECT_GT(bucket.size(), dataset.entries.size() / (3 * k));
       EXPECT_LT(bucket.size(), 3 * dataset.entries.size() / k);
+    }
+  }
+}
+
+// The ownership rectangles PartitionLayout derived with full sorts of
+// the coordinates: slab cut s at the sorted x of rank n * (bands so far)
+// / K, band cuts at the sorted y of rank n * b / bands among the entries
+// the slab routes (x >= cut goes right), capped at rank n - 1; an empty
+// coordinate list splits the universe evenly.
+std::vector<geo::Rect> SortedLayoutRects(
+    const std::vector<rtree::DataEntry>& entries, const geo::Rect& universe,
+    size_t fragments) {
+  auto split = [](std::vector<double> values, size_t parts, size_t j,
+                  double lo, double hi) {
+    std::sort(values.begin(), values.end());
+    const size_t n = values.size();
+    if (n == 0) {
+      return lo + (hi - lo) * static_cast<double>(j) /
+                      static_cast<double>(parts);
+    }
+    return values[std::min(n * j / parts, n - 1)];
+  };
+  const size_t slabs = static_cast<size_t>(
+      std::ceil(std::sqrt(static_cast<double>(fragments))));
+  std::vector<size_t> bands(slabs, fragments / slabs);
+  for (size_t s = 0; s < fragments % slabs; ++s) ++bands[s];
+  std::vector<double> xs;
+  for (const rtree::DataEntry& e : entries) xs.push_back(e.point.x);
+  std::vector<double> slab_cuts;
+  size_t cum = 0;
+  for (size_t s = 0; s + 1 < slabs; ++s) {
+    cum += bands[s];
+    slab_cuts.push_back(
+        split(xs, fragments, cum, universe.min_x, universe.max_x));
+  }
+  std::vector<geo::Rect> rects;
+  for (size_t s = 0; s < slabs; ++s) {
+    std::vector<double> ys;
+    for (const rtree::DataEntry& e : entries) {
+      const size_t slab = static_cast<size_t>(
+          std::upper_bound(slab_cuts.begin(), slab_cuts.end(), e.point.x) -
+          slab_cuts.begin());
+      if (slab == s) ys.push_back(e.point.y);
+    }
+    const double lo_x = s == 0 ? universe.min_x : slab_cuts[s - 1];
+    const double hi_x = s + 1 == slabs ? universe.max_x : slab_cuts[s];
+    double lo_y = universe.min_y;
+    for (size_t b = 0; b < bands[s]; ++b) {
+      const double hi_y =
+          b + 1 == bands[s]
+              ? universe.max_y
+              : split(ys, bands[s], b + 1, universe.min_y, universe.max_y);
+      rects.push_back({lo_x, lo_y, hi_x, hi_y});
+      lo_y = hi_y;
+    }
+  }
+  return rects;
+}
+
+TEST(PartitionLayoutTest, SelectedBoundsEqualSortedBounds) {
+  // A column of equal x and a row of equal y, so cuts land on runs of
+  // duplicate coordinates.
+  std::vector<rtree::DataEntry> lines;
+  Rng rng(35);
+  for (rtree::ObjectId id = 0; id < 3000; ++id) {
+    const double t = rng.NextDouble();
+    lines.push_back(id % 2 == 0 ? rtree::DataEntry{{0.5, t}, id}
+                                : rtree::DataEntry{{t, 0.25}, id});
+  }
+  struct Set {
+    const char* name;
+    std::vector<rtree::DataEntry> entries;
+  };
+  const std::vector<Set> sets = {
+      {"uniform", workload::MakeUnitUniform(5000, 33).entries},
+      {"lattice", test::Lattice(40)},
+      {"duplicates", test::Duplicates(700, 34)},
+      {"lines", lines},
+      {"empty", {}},
+      {"three", workload::MakeUnitUniform(3, 36).entries},
+  };
+  const geo::Rect universe(-1.0, -1.0, 40.0, 40.0);
+  for (const Set& set : sets) {
+    for (const size_t k : {1u, 2u, 4u, 7u, 9u}) {
+      const std::string where =
+          std::string(set.name) + " K " + std::to_string(k);
+      const PartitionLayout layout(set.entries, universe, k);
+      const std::vector<geo::Rect> expect =
+          SortedLayoutRects(set.entries, universe, k);
+      ASSERT_EQ(layout.num_fragments(), expect.size()) << where;
+      for (size_t f = 0; f < k; ++f) {
+        EXPECT_EQ(layout.OwnershipRect(f), expect[f])
+            << where << " fragment " << f;
+      }
+      for (const rtree::DataEntry& e : set.entries) {
+        const size_t owner = layout.OwnerOf(e.point);
+        ASSERT_TRUE(expect[owner].Contains(e.point)) << where;
+      }
     }
   }
 }

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -159,6 +161,206 @@ TEST(RTreeTest, MixedInsertAfterBulkLoad) {
   std::vector<DataEntry> out;
   fx.tree->WindowQuery(w, &out);
   EXPECT_EQ(Ids(out), Ids(BruteForceWindow(reference, w)));
+}
+
+// ---------------------------------------------------------------------------
+// ChooseSubtree: the pruned criterion against the full O(n^2) one
+// ---------------------------------------------------------------------------
+
+double ReferenceOverlap(const std::vector<ChildEntry>& children, size_t skip,
+                        const geo::Rect& candidate) {
+  double total = 0.0;
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (i == skip) continue;
+    total += candidate.Intersection(children[i].mbr).Area();
+  }
+  return total;
+}
+
+// The R* ChooseSubtree criterion without pruning: at the leaf-parent
+// level each child's overlap enlargement sums its grown and its current
+// MBR's overlap with every sibling.
+size_t ReferenceChooseSubtree(const Node& node, const geo::Rect& r) {
+  size_t best = 0;
+  double best_overlap_delta = std::numeric_limits<double>::infinity();
+  double best_enlarge = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    const geo::Rect& mbr = node.children[i].mbr;
+    const geo::Rect grown = mbr.ExpandedToInclude(r);
+    const double overlap_delta =
+        node.level == 1 ? ReferenceOverlap(node.children, i, grown) -
+                              ReferenceOverlap(node.children, i, mbr)
+                        : 0.0;
+    const double enlarge = grown.Area() - mbr.Area();
+    const double area = mbr.Area();
+    if (overlap_delta < best_overlap_delta ||
+        (overlap_delta == best_overlap_delta &&
+         (enlarge < best_enlarge ||
+          (enlarge == best_enlarge && area < best_area)))) {
+      best = i;
+      best_overlap_delta = overlap_delta;
+      best_enlarge = enlarge;
+      best_area = area;
+    }
+  }
+  return best;
+}
+
+// A coordinate from a pool small enough that children share edges,
+// coincide, degenerate to segments and points, and tie on every term.
+double Pooled(Rng* rng) {
+  return static_cast<double>(rng->NextBounded(5)) * 0.25;
+}
+
+geo::Rect RandomRect(Rng* rng, int style) {
+  switch (style) {
+    case 0: {  // overlapping boxes
+      const double x = rng->NextDouble();
+      const double y = rng->NextDouble();
+      return {x, y, x + rng->Uniform(0.0, 0.3), y + rng->Uniform(0.0, 0.3)};
+    }
+    case 1: {  // cells of an 8 x 8 grid: touching, never overlapping
+      const double x = static_cast<double>(rng->NextBounded(8)) / 8.0;
+      const double y = static_cast<double>(rng->NextBounded(8)) / 8.0;
+      return {x, y, x + 0.125, y + 0.125};
+    }
+    case 2: {  // pooled corners: shared edges, segments, points, copies
+      const double x0 = Pooled(rng), x1 = Pooled(rng);
+      const double y0 = Pooled(rng), y1 = Pooled(rng);
+      return {std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
+              std::max(y0, y1)};
+    }
+    default: {  // nested squares about one centre
+      const double h = rng->Uniform(0.0, 0.5);
+      return {0.5 - h, 0.5 - h, 0.5 + h, 0.5 + h};
+    }
+  }
+}
+
+TEST(ChooseSubtreeTest, MatchesUnprunedCriterionOnRandomAndDegenerateNodes) {
+  Rng rng(81);
+  for (int round = 0; round < 20000; ++round) {
+    const int style = static_cast<int>(rng.NextBounded(4));
+    const size_t n = 1 + rng.NextBounded(round % 10 == 0 ? 113 : 12);
+    Node node;
+    node.level = static_cast<uint16_t>(1 + rng.NextBounded(2));
+    for (size_t i = 0; i < n; ++i) {
+      node.children.push_back(
+          {RandomRect(&rng, style), static_cast<storage::PageId>(i)});
+    }
+    geo::Rect r;
+    switch (rng.NextBounded(4)) {
+      case 0:
+        r = geo::Rect::FromPoint({rng.NextDouble(), rng.NextDouble()});
+        break;
+      case 1:
+        r = geo::Rect::FromPoint({Pooled(&rng), Pooled(&rng)});
+        break;
+      case 2: {  // a child's own corner or a copy of a child
+        const geo::Rect& c = node.children[rng.NextBounded(n)].mbr;
+        r = rng.NextBounded(2) == 0 ? geo::Rect::FromPoint({c.max_x, c.min_y})
+                                    : c;
+        break;
+      }
+      default:
+        r = RandomRect(&rng, style);
+    }
+    ASSERT_EQ(RTree::ChooseSubtree(node, r), ReferenceChooseSubtree(node, r))
+        << "round " << round << " style " << style << " n " << n;
+  }
+}
+
+uint64_t Fnv(uint64_t h, const void* data, size_t n) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// FNV-1a over the tree's meta and every reachable page in depth-first
+// order: equal digests mean page-identical trees.
+uint64_t TreeDigest(RTree& tree) {
+  tree.buffer().FlushAll();
+  const RTree::Meta meta = tree.meta();
+  uint64_t h = 0xcbf29ce484222325ULL;
+  h = Fnv(h, &meta.root, sizeof(meta.root));
+  h = Fnv(h, &meta.root_level, sizeof(meta.root_level));
+  h = Fnv(h, &meta.size, sizeof(meta.size));
+  h = Fnv(h, &meta.num_nodes, sizeof(meta.num_nodes));
+  std::vector<storage::PageId> stack = {meta.root};
+  while (!stack.empty()) {
+    const storage::PageId id = stack.back();
+    stack.pop_back();
+    const storage::Page& page = tree.disk().ReadRef(id);
+    h = Fnv(h, &id, sizeof(id));
+    h = Fnv(h, page.data(), storage::kPageSize);
+    const Node node = Node::DeserializeFrom(page);
+    for (auto it = node.children.rbegin(); it != node.children.rend(); ++it) {
+      stack.push_back(it->child);
+    }
+  }
+  return h;
+}
+
+// Deterministic churn: 5k operations, inserts (uniform points, points
+// on a 1/16 lattice, copies of live points) interleaved with deletes of
+// random live entries (about a third). Before every insert the descent
+// is replayed and each internal node's choice is checked against the
+// unpruned criterion.
+uint64_t CheckedChurnDigest(const RTree::Options& options, size_t initial,
+                            uint64_t seed) {
+  storage::PageManager disk;
+  RTree tree(&disk, 32, options);
+  std::vector<DataEntry> live = MakeUnitUniform(initial, seed).entries;
+  tree.BulkLoad(live);
+  Rng rng(seed + 1);
+  auto next_id = static_cast<ObjectId>(initial);
+  for (int op = 0; op < 5000; ++op) {
+    if (!live.empty() && rng.NextBounded(3) == 0) {
+      const size_t at = rng.NextBounded(live.size());
+      EXPECT_TRUE(tree.Delete(live[at].point, live[at].id));
+      live[at] = live.back();
+      live.pop_back();
+      continue;
+    }
+    geo::Point p;
+    switch (rng.NextBounded(4)) {
+      case 0:
+        p = {static_cast<double>(rng.NextBounded(17)) / 16.0,
+             static_cast<double>(rng.NextBounded(17)) / 16.0};
+        break;
+      case 1:
+        if (!live.empty()) {
+          p = live[rng.NextBounded(live.size())].point;
+          break;
+        }
+        [[fallthrough]];
+      default:
+        p = {rng.NextDouble(), rng.NextDouble()};
+    }
+    const geo::Rect r = geo::Rect::FromPoint(p);
+    for (Node node = tree.FetchNode(tree.root()); !node.is_leaf();) {
+      const size_t chosen = RTree::ChooseSubtree(node, r);
+      EXPECT_EQ(chosen, ReferenceChooseSubtree(node, r)) << "op " << op;
+      node = tree.FetchNode(node.children[chosen].child);
+    }
+    tree.Insert(p, next_id);
+    live.push_back({p, next_id++});
+  }
+  tree.CheckInvariants();
+  return TreeDigest(tree);
+}
+
+TEST(ChooseSubtreeTest, ChurnedTreesArePageIdenticalToUnprunedOnes) {
+  // Digests of the same sequences run with the unpruned O(n^2)
+  // ChooseSubtree: the pruning changes no choice, so no page.
+  EXPECT_EQ(CheckedChurnDigest(SmallNodeOptions(), 2000, 71),
+            0x0d7042d4f7e9b79eULL);
+  EXPECT_EQ(CheckedChurnDigest(RTree::Options{}, 20000, 72),
+            0x61fdbbd0e6b6ab93ULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,38 @@ TEST(LruBufferPoolTest, DirtyEvictionWritesBack) {
   manager.Read(ids[0], &out);
   EXPECT_EQ(out.ReadAt<uint32_t>(0), 77u);
   (void)ids[2];
+}
+
+TEST(LruBufferPoolTest, RecycledFramesHoldOnlyTheNewPage) {
+  // Capacity 1: every miss reuses the one frame of the last page.
+  PageManager manager;
+  const PageId a = manager.Allocate();
+  const PageId b = manager.Allocate();
+  const PageId c = manager.Allocate();
+  Page pattern;
+  std::memset(pattern.mutable_data(), 0xab, kPageSize);
+  manager.Write(c, pattern);
+  LruBufferPool pool(&manager, 1);
+
+  pool.Write(a, pattern);
+  // A write-path miss into the full pool starts from a zeroed page, not
+  // from the victim's bytes; the dirty victim was written back first.
+  Page* page = pool.MutablePage(b);
+  ASSERT_NE(page, nullptr);
+  const Page zero;
+  EXPECT_EQ(std::memcmp(page->data(), zero.data(), kPageSize), 0);
+  page->WriteAt<uint32_t>(0, 5u);
+  Page out;
+  manager.Read(a, &out);
+  EXPECT_EQ(std::memcmp(out.data(), pattern.data(), kPageSize), 0);
+
+  // A read miss fills the reused frame with exactly the stored page.
+  const Page& fetched = pool.Fetch(c);
+  EXPECT_EQ(std::memcmp(fetched.data(), pattern.data(), kPageSize), 0);
+  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_EQ(pool.size(), 1u);
+  manager.Read(b, &out);
+  EXPECT_EQ(out.ReadAt<uint32_t>(0), 5u);
 }
 
 TEST(LruBufferPoolTest, MidpointInsertionKeepsScansOffTheHotSet) {

@@ -17,6 +17,9 @@ in the baseline file:
                        same band shape for the kNN miss path, the full
                        k-NN validity-region query at k = 1 and k = 10
                        (min-of-repeats BM_NnValidityQuery/1/ and /10/)
+  bulk_load_100k       same band shape for the index build: an STR bulk
+                       load of 100k uniform points into a fresh tree
+                       (min-of-repeats BM_BulkLoad/100000/)
   net_cache_qps        the loadgen's cache-on end-to-end q/s must stay
                        above value * min_ratio
   batch4_qps           the 4-worker BatchServer's end-to-end q/s at the
@@ -77,6 +80,7 @@ def main():
     check_micro("range_validity_query", "BM_RangeValidityQuery/")
     check_micro("nn_validity_query_1", "BM_NnValidityQuery/1/")
     check_micro("nn_validity_query_10", "BM_NnValidityQuery/10/")
+    check_micro("bulk_load_100k", "BM_BulkLoad/100000/")
 
     with open(f"{art_dir}/BENCH_net_loadgen.json") as f:
         loadgen = json.load(f)

@@ -28,9 +28,9 @@
 #           themselves are not gated here — a smoke box is too noisy
 #           for thresholds)
 #   bench-gate   micro BM_KnnBestFirst/100 + the kNN/window/range
-#           validity engine micros, churn, a quarter-scale
-#           net_loadgen and a quarter-scale throughput (batch-server
-#           q/s) compared against bench/baseline.json via
+#           validity engine micros + the 100k-point bulk load, churn,
+#           a quarter-scale net_loadgen and a quarter-scale throughput
+#           (batch-server q/s) compared against bench/baseline.json via
 #           tools/bench_gate.py; the baseline's bands are generous
 #           multiples so only a real regression trips them
 #   servebench  python3 servebench/test_determinism.py: builds the
@@ -167,7 +167,7 @@ stage_bench_gate() {
   dir="$(mktemp -d)" || return 1
   local ok=0
   LBSQ_BENCH_DIR="$dir" "$ROOT/build/bench/micro" \
-    '--benchmark_filter=BM_KnnBestFirst/100/|BM_NnValidityQuery|BM_WindowValidityQuery|BM_RangeValidityQuery' \
+    '--benchmark_filter=BM_KnnBestFirst/100/|BM_NnValidityQuery|BM_WindowValidityQuery|BM_RangeValidityQuery|BM_BulkLoad/100000/' \
     >/dev/null &&
     LBSQ_BENCH_DIR="$dir" LBSQ_ROUNDS=1 "$ROOT/build/bench/churn" \
       >/dev/null &&
