@@ -1,12 +1,16 @@
 #ifndef LBSQ_BENCH_BENCH_UTIL_H_
 #define LBSQ_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "geometry/point.h"
 #include "rtree/rtree.h"
 #include "storage/page_manager.h"
@@ -24,25 +28,49 @@
 
 namespace lbsq::bench {
 
+// A positive integer knob from the environment: `fallback` when unset,
+// and also, with a warning on stderr, when set to anything but a
+// positive decimal count (common/parse.h).
+inline size_t EnvCount(const char* name, size_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::optional<uint64_t> v = ParseCount(env);
+  if (v.has_value() && *v > 0) return *v;
+  std::fprintf(stderr, "warning: %s='%s' is not a positive count; using %zu\n",
+               name, env, fallback);
+  return fallback;
+}
+
+// The same for a positive real knob (finite, > 0).
+inline double EnvPositive(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::optional<double> v = ParseFinite(env);
+  if (v.has_value() && *v > 0.0) return *v;
+  std::fprintf(stderr,
+               "warning: %s='%s' is not a positive finite number; using %g\n",
+               name, env, fallback);
+  return fallback;
+}
+
+// Read once per process, so a bad value warns once.
 inline size_t NumQueries() {
-  if (const char* env = std::getenv("LBSQ_QUERIES")) {
-    const size_t v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return 500;
+  static const size_t queries = EnvCount("LBSQ_QUERIES", 500);
+  return queries;
 }
 
 inline double Scale() {
-  if (const char* env = std::getenv("LBSQ_SCALE")) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return 1.0;
+  static const double scale = EnvPositive("LBSQ_SCALE", 1.0);
+  return scale;
 }
 
 inline size_t Scaled(size_t n) {
-  const auto scaled = static_cast<size_t>(static_cast<double>(n) * Scale());
-  return scaled < 16 ? 16 : scaled;
+  const double scaled = static_cast<double>(n) * Scale();
+  if (scaled < 16.0) return 16;
+  // Converting a double at or past 2^64 to size_t is undefined; a size
+  // that large fails at allocation instead.
+  if (scaled >= 0x1p64) return std::numeric_limits<size_t>::max();
+  return static_cast<size_t>(scaled);
 }
 
 // A dataset bulk-loaded into an R*-tree on a fresh simulated disk, with

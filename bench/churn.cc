@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,14 +27,6 @@
 namespace {
 
 using namespace lbsq;
-
-size_t NumRounds() {
-  if (const char* env = std::getenv("LBSQ_ROUNDS")) {
-    const size_t v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return 3;
-}
 
 struct RunResult {
   double hit_rate = 0.0;
@@ -130,7 +121,7 @@ RunResult RunBest(const workload::Dataset& dataset,
 int main() {
   const size_t n = bench::Scaled(20000);
   const size_t queries = std::max<size_t>(bench::NumQueries() * 40, 1000);
-  const size_t rounds = NumRounds();
+  const size_t rounds = bench::EnvCount("LBSQ_ROUNDS", 3);
   const double rates[] = {0.0, 10.0, 100.0, 1000.0};
 
   const workload::Dataset dataset = workload::MakeUnitUniform(n, 7101);

@@ -76,20 +76,6 @@ void BM_KnnBestFirst(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnBestFirst)->Arg(1)->Arg(10)->Arg(100)->Apply(MinOfRounds);
 
-// Pre-NodeView baseline (materializing queue of nodes and points); the
-// delta against BM_KnnBestFirst is the zero-copy + pruning win.
-void BM_KnnBestFirstLegacy(benchmark::State& state) {
-  auto& wb = SharedBench();
-  const auto& queries = SharedQueries();
-  const auto k = static_cast<size_t>(state.range(0));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        rtree::KnnBestFirstLegacy(*wb.tree, queries[i++ % queries.size()], k));
-  }
-}
-BENCHMARK(BM_KnnBestFirstLegacy)->Arg(1)->Arg(10)->Arg(100)->Apply(MinOfRounds);
-
 void BM_KnnDepthFirst(benchmark::State& state) {
   auto& wb = SharedBench();
   const auto& queries = SharedQueries();
@@ -187,8 +173,9 @@ void BM_RangeConservativePolygon(benchmark::State& state) {
 BENCHMARK(BM_RangeConservativePolygon)->Arg(25)->Arg(50)->Apply(MinOfRounds);
 
 // Cost of a semantic-cache hit on the wire-serving path: one grid-cell
-// scan plus a handful of bisector tests plus the byte copy. Compare
-// against BM_NnValidityQuery/10 — the work a hit avoids.
+// scan plus a handful of bisector tests, handing out the shared payload
+// as serving does (LookupNnShared, no byte copy). Compare against
+// BM_NnValidityQuery/10 — the work a hit avoids.
 void BM_SemanticCacheHit(benchmark::State& state) {
   auto& wb = SharedBench();
   const auto& queries = SharedQueries();
@@ -206,13 +193,13 @@ void BM_SemanticCacheHit(benchmark::State& state) {
     for (const auto& n : result.answers()) answers.push_back(n.entry.point);
     sc.InsertNn(10, result.universe(), result.region().BoundingBox(),
                 std::move(answers), std::move(constraints),
-                std::vector<uint8_t>(512, 0));
+                cache::MakeCachedBytes(std::vector<uint8_t>(512, 0)));
   }
-  std::vector<uint8_t> out;
+  cache::CachedBytes out;
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sc.LookupNn(queries[i++ % queries.size()], 10, &out));
+        sc.LookupNnShared(queries[i++ % queries.size()], 10, &out));
     benchmark::DoNotOptimize(out);
   }
 }

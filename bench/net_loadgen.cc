@@ -60,14 +60,6 @@ constexpr size_t kPipelineWindow = 32;    // in-flight requests per conn
 constexpr size_t kValiditySampleEvery = 64;
 constexpr double kMinSeconds = 0.5;  // per-phase timing floor
 
-size_t NumConnections() {
-  if (const char* env = std::getenv("LBSQ_CONNS")) {
-    const size_t v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return 8;
-}
-
 struct QuerySpec {
   enum class Type { kNn, kWindow, kRange };
   Type type = Type::kNn;
@@ -344,7 +336,7 @@ bool PhaseClean(const PhaseResult& r, size_t connections) {
 
 int main() {
   const size_t n = bench::Scaled(kPoints);
-  const size_t connections = NumConnections();
+  const size_t connections = bench::EnvCount("LBSQ_CONNS", 8);
   bench::Workbench wb = bench::MakeUniformBench(n, /*buffer_fraction=*/0.0);
 
   // Per-connection query streams plus their in-process reference bytes,

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,14 +32,6 @@
 namespace {
 
 using namespace lbsq;
-
-size_t NumRounds() {
-  if (const char* env = std::getenv("LBSQ_ROUNDS")) {
-    const size_t v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return 3;
-}
 
 struct RunResult {
   double qps = 0.0;
@@ -164,7 +155,7 @@ RunResult RunBest(const workload::Dataset& dataset,
 int main() {
   const size_t n = bench::Scaled(20000);
   const size_t queries = std::max<size_t>(bench::NumQueries() * 40, 1000);
-  const size_t rounds = NumRounds();
+  const size_t rounds = bench::EnvCount("LBSQ_ROUNDS", 3);
   // Deliberately smaller than the tree (about 100 pages at the default
   // scale) so the page-access column measures real buffer pressure.
   constexpr size_t kTotalBufferFrames = 64;

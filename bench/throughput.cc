@@ -1,10 +1,8 @@
 // Aggregate query throughput of the batch server: N concurrent mobile
 // clients firing a mixed plain-query workload (k-NN / window / range) at
-// one shared R-tree store. Three server configurations are timed over the
+// one shared R-tree store. Two server configurations are timed over the
 // same query stream:
 //
-//   serial-seed   the pre-NodeView code path (KnnBestFirstLegacy /
-//                 WindowQueryLegacy), one thread — the seed baseline
 //   serial-view   the zero-copy NodeView path, one thread
 //   batch-T       BatchServer with T worker threads over per-worker
 //                 unbuffered pools (every fetch a zero-copy ReadRef)
@@ -16,9 +14,9 @@
 // rate alongside q/s.
 //
 // Output: an aligned table plus one machine-readable "BENCH {...}" JSON
-// line with queries/second per configuration, the speedups over the
-// serial seed baseline, batch latency percentiles, and the cache
-// section's q/s + hit rate. All rates are min-of-N-rounds (MeasureQps).
+// line with queries/second per configuration, batch latency
+// percentiles, and the cache section's q/s + hit rate. All rates are
+// min-of-N-rounds (MeasureQps).
 //
 // Environment knobs: LBSQ_SCALE scales the dataset (default 100k
 // points, bench_util.h); LBSQ_CLIENTS sets the number of concurrent
@@ -47,14 +45,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr size_t kPoints = 100000;
 constexpr double kMinSeconds = 0.5;  // per-configuration timing floor
-
-size_t NumClients() {
-  if (const char* env = std::getenv("LBSQ_CLIENTS")) {
-    const size_t v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return 8000;
-}
 
 // NN-heavy mix, matching the paper's workload emphasis (nearest-neighbor
 // queries are the primary location-based query class).
@@ -128,35 +118,26 @@ double MeasureQps(size_t queries_per_round, Fn&& round) {
 
 // Every configuration materializes one answer per client (what a server
 // returning results must do), so serial and batch runs do identical work.
-double SerialQps(bench::Workbench& wb, const Workload& w, bool legacy) {
+double SerialQps(bench::Workbench& wb, const Workload& w) {
   rtree::RTree& tree = *wb.tree;
   return MeasureQps(w.total(), [&] {
     std::vector<std::vector<rtree::Neighbor>> nn(w.nn.size());
     for (size_t i = 0; i < w.nn.size(); ++i) {
-      nn[i] = legacy ? rtree::KnnBestFirstLegacy(tree, w.nn[i].q, w.nn[i].k)
-                     : rtree::KnnBestFirst(tree, w.nn[i].q, w.nn[i].k);
+      nn[i] = rtree::KnnBestFirst(tree, w.nn[i].q, w.nn[i].k);
     }
     asm volatile("" : : "r,m"(nn.data()) : "memory");
     std::vector<std::vector<rtree::DataEntry>> win(w.window.size());
     for (size_t i = 0; i < w.window.size(); ++i) {
       const geo::Rect rect =
           geo::Rect::Centered(w.window[i].focus, w.window[i].hx, w.window[i].hy);
-      if (legacy) {
-        tree.WindowQueryLegacy(rect, &win[i]);
-      } else {
-        tree.WindowQuery(rect, &win[i]);
-      }
+      tree.WindowQuery(rect, &win[i]);
     }
     asm volatile("" : : "r,m"(win.data()) : "memory");
     std::vector<std::vector<rtree::DataEntry>> rng(w.range.size());
     for (size_t i = 0; i < w.range.size(); ++i) {
       const geo::Rect rect = geo::Rect::Centered(
           w.range[i].focus, w.range[i].radius, w.range[i].radius);
-      if (legacy) {
-        tree.WindowQueryLegacy(rect, &rng[i]);
-      } else {
-        tree.WindowQuery(rect, &rng[i]);
-      }
+      tree.WindowQuery(rect, &rng[i]);
       FilterRange(w.range[i].focus, w.range[i].radius, &rng[i]);
     }
     asm volatile("" : : "r,m"(rng.data()) : "memory");
@@ -223,19 +204,16 @@ double WireQps(core::Server& server, const Workload& w) {
 int main() {
   const size_t n = bench::Scaled(kPoints);
   bench::Workbench wb = bench::MakeUniformBench(n, /*buffer_fraction=*/0.0);
-  const size_t clients = NumClients();
+  const size_t clients = bench::EnvCount("LBSQ_CLIENTS", 8000);
   const Workload w = MakeWorkload(wb, clients);
 
   bench::PrintTitle("Batch query throughput (" + bench::FormatCount(n) +
                     " points, " + bench::FormatCount(w.total()) +
                     " concurrent clients)");
-  std::printf("%-14s %12s %10s\n", "configuration", "queries/s", "speedup");
+  std::printf("%-14s %12s\n", "configuration", "queries/s");
 
-  const double seed_qps = SerialQps(wb, w, /*legacy=*/true);
-  std::printf("%-14s %12.0f %9.2fx\n", "serial-seed", seed_qps, 1.0);
-  const double view_qps = SerialQps(wb, w, /*legacy=*/false);
-  std::printf("%-14s %12.0f %9.2fx\n", "serial-view", view_qps,
-              view_qps / seed_qps);
+  const double view_qps = SerialQps(wb, w);
+  std::printf("%-14s %12.0f\n", "serial-view", view_qps);
 
   const size_t thread_counts[] = {1, 2, 4};
   double batch_qps[3] = {0.0, 0.0, 0.0};
@@ -248,19 +226,17 @@ int main() {
     batch_qps[i] = BatchQps(server, w);
     char label[32];
     std::snprintf(label, sizeof(label), "batch-%zu", thread_counts[i]);
-    std::printf("%-14s %12.0f %9.2fx\n", label, batch_qps[i],
-                batch_qps[i] / seed_qps);
+    std::printf("%-14s %12.0f\n", label, batch_qps[i]);
     if (thread_counts[i] == 4) stats4 = server.perf_stats();
   }
 
   std::printf(
       "\nbatch-4 stats: %llu queries, %llu node accesses, "
-      "%llu page accesses, %llu allocations avoided\n"
+      "%llu page accesses\n"
       "latency p50 %.1fus  p95 %.1fus  p99 %.1fus  max %.1fus\n",
       static_cast<unsigned long long>(stats4.queries),
       static_cast<unsigned long long>(stats4.node_accesses),
       static_cast<unsigned long long>(stats4.page_accesses),
-      static_cast<unsigned long long>(stats4.allocations_avoided),
       stats4.p50_us, stats4.p95_us, stats4.p99_us, stats4.max_us);
 
   // -- Wire serving with the semantic answer cache ------------------------
@@ -298,14 +274,12 @@ int main() {
   std::snprintf(
       json, sizeof(json),
       "{\"name\":\"throughput\",\"points\":%zu,\"clients\":%zu,"
-      "\"serial_seed_qps\":%.0f,\"serial_view_qps\":%.0f,"
+      "\"serial_view_qps\":%.0f,"
       "\"batch1_qps\":%.0f,\"batch2_qps\":%.0f,\"batch4_qps\":%.0f,"
-      "\"view_speedup\":%.3f,\"batch4_speedup\":%.3f,"
       "\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f,\"max_us\":%.1f,"
       "\"wire_nocache_qps\":%.0f,\"wire_cache_qps\":%.0f,"
       "\"cache_speedup\":%.3f,\"cache_hit_rate\":%.3f}",
-      n, w.total(), seed_qps, view_qps, batch_qps[0], batch_qps[1],
-      batch_qps[2], view_qps / seed_qps, batch_qps[2] / seed_qps,
+      n, w.total(), view_qps, batch_qps[0], batch_qps[1], batch_qps[2],
       stats4.p50_us, stats4.p95_us, stats4.p99_us, stats4.max_us,
       wire_qps[0], wire_qps[1], wire_qps[1] / wire_qps[0], hit_rate);
   std::printf("\nBENCH %s\n", json);

@@ -251,33 +251,6 @@ bool SemanticCache::LookupRangeShared(const geo::Point& p, double radius,
   return Lookup(Kind::kRange, radius, 0.0, p, out);
 }
 
-namespace {
-
-bool CopyOut(bool hit, const CachedBytes& shared, std::vector<uint8_t>* out) {
-  if (hit) out->assign(shared->begin(), shared->end());
-  return hit;
-}
-
-}  // namespace
-
-bool SemanticCache::LookupNn(const geo::Point& p, size_t k,
-                             std::vector<uint8_t>* out) {
-  CachedBytes shared;
-  return CopyOut(LookupNnShared(p, k, &shared), shared, out);
-}
-
-bool SemanticCache::LookupWindow(const geo::Point& p, double hx, double hy,
-                                 std::vector<uint8_t>* out) {
-  CachedBytes shared;
-  return CopyOut(LookupWindowShared(p, hx, hy, &shared), shared, out);
-}
-
-bool SemanticCache::LookupRange(const geo::Point& p, double radius,
-                                std::vector<uint8_t>* out) {
-  CachedBytes shared;
-  return CopyOut(LookupRangeShared(p, radius, &shared), shared, out);
-}
-
 void SemanticCache::Insert(Entry entry, const geo::Rect& bounds) {
   LBSQ_DCHECK(entry.bytes != nullptr);
   entry.charge = entry.bytes->size() + kEntryOverhead +

@@ -149,21 +149,14 @@ class SemanticCache {
   // -- Lookup --------------------------------------------------------------
   // Each lookup finds the most recently used live entry whose query
   // parameters match exactly and whose validity region contains `p`; on a
-  // hit the entry is touched. The *Shared variants hand out the stored
-  // payload without copying (the reference keeps it alive past eviction);
-  // the copying variants assign the bytes into *out for callers that
-  // want an owned buffer. Returns true on hit.
+  // hit the entry is touched and *out shares its stored payload without
+  // copying (the reference keeps it alive past eviction). Returns true on
+  // hit.
   bool LookupNnShared(const geo::Point& p, size_t k, CachedBytes* out);
   bool LookupWindowShared(const geo::Point& p, double hx, double hy,
                           CachedBytes* out);
   bool LookupRangeShared(const geo::Point& p, double radius,
                          CachedBytes* out);
-
-  bool LookupNn(const geo::Point& p, size_t k, std::vector<uint8_t>* out);
-  bool LookupWindow(const geo::Point& p, double hx, double hy,
-                    std::vector<uint8_t>* out);
-  bool LookupRange(const geo::Point& p, double radius,
-                   std::vector<uint8_t>* out);
 
   // -- Insert --------------------------------------------------------------
   // Registers a completed answer under its validity geometry. `bounds`
@@ -172,8 +165,7 @@ class SemanticCache {
   // (region-scoped invalidation tests inserts against them); `bytes` is
   // the encoded wire answer served verbatim on a hit. Inserts that could
   // never fit (charge > max_bytes) or whose bounds are empty are rejected
-  // and counted. The vector overloads wrap the bytes in a CachedBytes
-  // payload.
+  // and counted.
   void InsertNn(size_t k, const geo::Rect& universe, const geo::Rect& bounds,
                 std::vector<geo::Point> answers,
                 std::vector<BisectorConstraint> constraints,
@@ -181,22 +173,6 @@ class SemanticCache {
   void InsertWindow(double hx, double hy, geo::RectMinusBoxes region,
                     CachedBytes bytes);
   void InsertRange(double radius, geo::DiskRegion region, CachedBytes bytes);
-
-  void InsertNn(size_t k, const geo::Rect& universe, const geo::Rect& bounds,
-                std::vector<geo::Point> answers,
-                std::vector<BisectorConstraint> constraints,
-                std::vector<uint8_t> bytes) {
-    InsertNn(k, universe, bounds, std::move(answers), std::move(constraints),
-             MakeCachedBytes(std::move(bytes)));
-  }
-  void InsertWindow(double hx, double hy, geo::RectMinusBoxes region,
-                    std::vector<uint8_t> bytes) {
-    InsertWindow(hx, hy, std::move(region), MakeCachedBytes(std::move(bytes)));
-  }
-  void InsertRange(double radius, geo::DiskRegion region,
-                   std::vector<uint8_t> bytes) {
-    InsertRange(radius, std::move(region), MakeCachedBytes(std::move(bytes)));
-  }
 
   // -- Kill footprints -----------------------------------------------------
   // The kill footprint of an entry is the closed set of update positions

@@ -263,9 +263,7 @@ BatchPerfStats BatchServer::perf_stats() const {
   stats.queries = queries_;
   for (const std::unique_ptr<Worker>& worker : workers_) {
     stats.node_accesses += worker->tree->buffer().logical_accesses();
-    stats.allocations_avoided += worker->tree->view_fetches();
   }
-  stats.allocations_avoided -= view_fetches_baseline_;
   stats.page_accesses = disk_->read_count() - disk_reads_baseline_;
   stats.query_errors = query_errors_.load(std::memory_order_relaxed);
   stats.query_retries = query_retries_.load(std::memory_order_relaxed);
@@ -285,10 +283,8 @@ void BatchServer::ResetPerfStats() {
   query_retries_.store(0, std::memory_order_relaxed);
   wall_seconds_ = 0.0;
   latencies_us_.clear();
-  view_fetches_baseline_ = 0;
   for (const std::unique_ptr<Worker>& worker : workers_) {
     worker->tree->buffer().ResetCounters();
-    view_fetches_baseline_ += worker->tree->view_fetches();
   }
   disk_reads_baseline_ = disk_->read_count();
 }

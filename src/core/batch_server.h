@@ -75,7 +75,6 @@ struct BatchPerfStats {
   uint64_t queries = 0;
   uint64_t node_accesses = 0;        // logical fetches across all workers
   uint64_t page_accesses = 0;        // shared-store reads (buffer misses)
-  uint64_t allocations_avoided = 0;  // fetches served as zero-copy views
   uint64_t query_errors = 0;         // checked queries that returned a Status
   uint64_t query_retries = 0;        // transient-fault retries that were taken
   double wall_seconds = 0.0;
@@ -220,7 +219,6 @@ class BatchServer {
   // thread). page-access baseline = store reads at construction / reset.
   uint64_t queries_ LBSQ_EXCLUDED(dispatcher_only) = 0;
   uint64_t disk_reads_baseline_ LBSQ_EXCLUDED(dispatcher_only) = 0;
-  uint64_t view_fetches_baseline_ LBSQ_EXCLUDED(dispatcher_only) = 0;
   double wall_seconds_ LBSQ_EXCLUDED(dispatcher_only) = 0.0;
   std::vector<double> latencies_us_ LBSQ_EXCLUDED(dispatcher_only);
 };

@@ -287,28 +287,4 @@ NnValidityResult NnValidityEngine::QueryTpnn(const geo::Point& q, size_t k) {
                           poly.Simplified());
 }
 
-NnValidityResult NnValidityEngine::QueryOrdered(const geo::Point& q,
-                                                size_t k) {
-  NnValidityResult set_result = Query(q, k);
-  if (set_result.answers().size() < 2) return set_result;
-
-  // Refine: the ranking of the answers is stable exactly where each
-  // answer stays at least as close as its successor (adjacent bisectors
-  // suffice by transitivity).
-  std::vector<InfluencePair> pairs = set_result.influence_pairs();
-  geo::ConvexPolygon poly = set_result.region();
-  const auto& answers = set_result.answers();
-  for (size_t i = 0; i + 1 < answers.size(); ++i) {
-    const geo::HalfPlane h = geo::BisectorTowards(
-        answers[i].entry.point, answers[i + 1].entry.point);
-    if (poly.IsCutBy(h)) {
-      poly = poly.ClipHalfPlane(h);
-      pairs.push_back(
-          InfluencePair{answers[i + 1].entry, answers[i].entry});
-    }
-  }
-  return NnValidityResult(q, universe_, answers, std::move(pairs),
-                          poly.Simplified());
-}
-
 }  // namespace lbsq::core

@@ -51,10 +51,10 @@ class NnValidityEngine {
   // query point must lie inside it.
   NnValidityEngine(rtree::RTree* tree, const geo::Rect& universe);
 
-  // Runs Query and QueryOrdered over any SpatialBackend (e.g. a
-  // partition::FragmentRouter); the backend outlives the engine. Same
-  // algorithm, same answers — the validity region is a pure function of
-  // the exact query results. Such an engine has no QueryTpnn.
+  // Runs Query over any SpatialBackend (e.g. a partition::FragmentRouter);
+  // the backend outlives the engine. Same algorithm, same answers — the
+  // validity region is a pure function of the exact query results. Such
+  // an engine has no QueryTpnn.
   NnValidityEngine(SpatialBackend* backend, const geo::Rect& universe);
 
   // Processes a location-based k-NN query at `q` with the nearest-first
@@ -68,13 +68,6 @@ class NnValidityEngine {
   // to the RTree* constructor (checked: calling it on an engine built on
   // a backend is a programming error).
   NnValidityResult QueryTpnn(const geo::Point& q, size_t k);
-
-  // Like Query, but the region additionally preserves the *ranking* of
-  // the k answers, not just their identity: the order-k cell intersected
-  // with the bisector half-planes between consecutive answers. Useful
-  // when the client displays a ranked list. The extra constraints ship
-  // as ordinary influence pairs (incoming = the lower-ranked member).
-  NnValidityResult QueryOrdered(const geo::Point& q, size_t k);
 
   const Stats& stats() const { return stats_; }
   const geo::Rect& universe() const { return universe_; }

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "common/check.h"
@@ -137,7 +136,8 @@ std::vector<Neighbor> KnnDepthFirst(RTree& tree, const geo::Point& q,
 // Access accounting is unchanged: this expands exactly the node set
 // {n : mindist(n) <= d_k} in ascending mindist order — the same nodes,
 // in the same order, the unpruned queue pops before emitting its k-th
-// point — so NA/PA match the legacy path (KnnBestFirstLegacy) exactly.
+// point — so NA/PA match the unpruned queue (the oracle in
+// tests/test_util.h) exactly.
 // All distances are squared (see ResultHeap); comparisons are
 // equivalent, so the expansion set and order are untouched.
 //
@@ -233,54 +233,6 @@ std::vector<Neighbor> KnnBestFirst(RTree& tree, const geo::Point& q,
     }
   }
   return best.TakeSorted();
-}
-
-std::vector<Neighbor> KnnBestFirstLegacy(RTree& tree, const geo::Point& q,
-                                         size_t k) {
-  LBSQ_CHECK(k > 0);
-  if (tree.size() == 0) return {};
-
-  struct QueueItem {
-    double distance;
-    bool is_node;
-    storage::PageId page = storage::kInvalidPageId;
-    DataEntry entry;
-  };
-  struct Later {
-    bool operator()(const QueueItem& a, const QueueItem& b) const {
-      if (a.distance != b.distance) return a.distance > b.distance;
-      // Expand nodes before points at equal distance so that a point is
-      // only emitted once no closer node remains; tie-break points by id.
-      if (a.is_node != b.is_node) return !a.is_node;
-      return a.entry.id > b.entry.id;
-    }
-  };
-
-  std::priority_queue<QueueItem, std::vector<QueueItem>, Later> queue;
-  queue.push(QueueItem{0.0, true, tree.root(), {}});
-
-  std::vector<Neighbor> out;
-  out.reserve(k);
-  while (!queue.empty() && out.size() < k) {
-    const QueueItem item = queue.top();
-    queue.pop();
-    if (!item.is_node) {
-      out.push_back(Neighbor{item.entry, item.distance});
-      continue;
-    }
-    const Node node = tree.FetchNode(item.page);
-    if (node.is_leaf()) {
-      for (const DataEntry& e : node.data) {
-        queue.push(QueueItem{geo::Distance(q, e.point), false,
-                             storage::kInvalidPageId, e});
-      }
-    } else {
-      for (const ChildEntry& e : node.children) {
-        queue.push(QueueItem{geo::MinDist(q, e.mbr), true, e.child, {}});
-      }
-    }
-  }
-  return out;
 }
 
 namespace {

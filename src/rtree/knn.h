@@ -34,14 +34,6 @@ std::vector<Neighbor> KnnDepthFirst(RTree& tree, const geo::Point& q,
 std::vector<Neighbor> KnnBestFirst(RTree& tree, const geo::Point& q,
                                    size_t k);
 
-// Pre-NodeView reference implementation of KnnBestFirst: one global queue
-// holding nodes *and* points, every entry pushed unconditionally, nodes
-// materialized via FetchNode. Same results and access counts as
-// KnnBestFirst; kept as the differential-testing oracle and as the
-// single-threaded seed baseline in bench/throughput.cc.
-std::vector<Neighbor> KnnBestFirstLegacy(RTree& tree, const geo::Point& q,
-                                         size_t k);
-
 // -- Resumable nearest-first stream -----------------------------------------
 
 // One tree of a nearest-first stream, entered at its root.

@@ -662,7 +662,8 @@ namespace {
 // and their children are pushed without per-child Intersects tests. The
 // fetched node set is unchanged — a contained parent's children all
 // intersect the window anyway — so NA/PA stay identical to the plain
-// traversal (WindowQueryLegacy), as does the emit order.
+// Intersects/Contains traversal (the oracle in tests/test_util.h), as
+// does the emit order.
 struct WindowFrame {
   storage::PageId id;
   bool contained;
@@ -670,9 +671,9 @@ struct WindowFrame {
 
 template <typename Emit>
 void WindowTraverse(RTree& tree, const geo::Rect& w, Emit&& emit) {
-  // The unrolled comparisons below assume a non-empty window (legacy
+  // The unrolled comparisons below assume a non-empty window (plain
   // Intersects() rejects everything for an empty one). Fetch the root
-  // anyway so node-access accounting matches the legacy path exactly.
+  // anyway so node-access accounting matches the plain traversal exactly.
   if (w.IsEmpty()) {
     tree.FetchView(tree.root());
     return;
@@ -754,31 +755,6 @@ void RTree::WindowQuery(const geo::Rect& w, std::vector<DataEntry>* out) {
 void RTree::WindowQuery(const geo::Rect& w,
                         const std::function<void(const DataEntry&)>& emit) {
   WindowTraverse(*this, w, [&emit](const DataEntry& e) { emit(e); });
-}
-
-void RTree::WindowQueryLegacy(const geo::Rect& w,
-                              std::vector<DataEntry>* out) {
-  out->clear();
-  WindowQueryLegacy(w, [out](const DataEntry& e) { out->push_back(e); });
-}
-
-void RTree::WindowQueryLegacy(
-    const geo::Rect& w, const std::function<void(const DataEntry&)>& emit) {
-  std::vector<storage::PageId> stack = {root_};
-  while (!stack.empty()) {
-    const storage::PageId id = stack.back();
-    stack.pop_back();
-    const Node node = ReadNode(id);
-    if (node.is_leaf()) {
-      for (const DataEntry& e : node.data) {
-        if (w.Contains(e.point)) emit(e);
-      }
-    } else {
-      for (const ChildEntry& e : node.children) {
-        if (w.Intersects(e.mbr)) stack.push_back(e.child);
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -107,14 +107,6 @@ class RTree {
   void WindowQuery(const geo::Rect& w,
                    const std::function<void(const DataEntry&)>& emit);
 
-  // Pre-NodeView reference implementation (materializes every node via
-  // FetchNode). Kept as the differential-testing oracle and as the
-  // single-threaded seed baseline in bench/throughput.cc; identical
-  // results and access counts to WindowQuery.
-  void WindowQueryLegacy(const geo::Rect& w, std::vector<DataEntry>* out);
-  void WindowQueryLegacy(const geo::Rect& w,
-                         const std::function<void(const DataEntry&)>& emit);
-
   // -- Introspection (used by query algorithms and tests) -------------------
 
   // Deserializes the node stored at `id` via the buffer pool (counts one
@@ -127,13 +119,8 @@ class RTree {
   // skips the per-fetch Node allocation + decode. The view is valid until
   // the next non-const call on this tree or its buffer pool.
   NodeView FetchView(storage::PageId id) {
-    ++view_fetches_;
     return NodeView(buffer_.Fetch(id));
   }
-
-  // Number of fetches served as zero-copy views (i.e. node allocations
-  // avoided relative to the legacy FetchNode path) since construction.
-  uint64_t view_fetches() const { return view_fetches_; }
 
   // Dataset update epoch: bumped by every successful Insert, Delete and
   // BulkLoad on this handle. Serving layers compare it against the epoch
@@ -263,9 +250,6 @@ class RTree {
 
   // Nodes dissolved by Delete's condense step, pending reinsertion.
   std::vector<Node> orphans_;
-
-  // Fetches served through FetchView (see view_fetches()).
-  uint64_t view_fetches_ = 0;
 
   // Successful mutations on this handle (see update_epoch()).
   uint64_t update_epoch_ = 0;

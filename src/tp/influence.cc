@@ -4,8 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace lbsq::tp {
 
 namespace {
@@ -137,85 +135,6 @@ double NodeInfluenceLowerBound(const geo::Point& q, const geo::Vec2& l,
     if (t != kNever) return t;
   }
   return kNever;
-}
-
-std::optional<ContainmentInterval> WindowContainmentInterval(
-    const geo::Point& q, const geo::Vec2& l, double hx, double hy,
-    const geo::Point& p) {
-  LBSQ_DCHECK(hx >= 0.0 && hy >= 0.0);
-  // Per axis: |p - q - t*l| <= h gives an interval of t (possibly empty or
-  // unbounded when the axis velocity is 0).
-  double t_in = 0.0;
-  double t_out = kNever;
-  const double delta[2] = {p.x - q.x, p.y - q.y};
-  const double speed[2] = {l.dx, l.dy};
-  const double half[2] = {hx, hy};
-  for (int axis = 0; axis < 2; ++axis) {
-    if (std::abs(speed[axis]) < kEps) {
-      if (std::abs(delta[axis]) > half[axis]) return std::nullopt;
-      continue;  // covered for all t on this axis
-    }
-    double lo = (delta[axis] - half[axis]) / speed[axis];
-    double hi = (delta[axis] + half[axis]) / speed[axis];
-    if (lo > hi) std::swap(lo, hi);
-    t_in = std::max(t_in, lo);
-    t_out = std::min(t_out, hi);
-  }
-  if (t_out < t_in || t_out < 0.0) return std::nullopt;
-  return ContainmentInterval{t_in, t_out};
-}
-
-double WindowPointInfluenceTime(const geo::Point& q, const geo::Vec2& l,
-                                double hx, double hy, const geo::Point& p) {
-  const auto interval = WindowContainmentInterval(q, l, hx, hy, p);
-  if (!interval.has_value()) return kNever;
-  if (interval->t_in <= 0.0) {
-    // Currently covered: influences when it leaves.
-    return interval->t_out;
-  }
-  return interval->t_in;
-}
-
-double WindowNodeInfluenceLowerBound(const geo::Point& q, const geo::Vec2& l,
-                                     double hx, double hy,
-                                     const geo::Rect& e) {
-  // Entry bound: the window first touches some location of `e` when the
-  // moving point q(t) enters e dilated by the half-extents. That is a
-  // containment-interval problem on the dilated rectangle's center with
-  // combined half extents — reuse the per-point kernel against the center
-  // of e with half-extents grown by e's own half sizes.
-  const geo::Point center = e.Center();
-  const double ex = 0.5 * e.width();
-  const double ey = 0.5 * e.height();
-  const auto touch =
-      WindowContainmentInterval(q, l, hx + ex, hy + ey, center);
-  double entry_bound = kNever;
-  double exit_bound = kNever;
-  if (touch.has_value()) {
-    entry_bound = std::max(0.0, touch->t_in);
-    // Exit bound: only points currently covered can influence by exiting.
-    const geo::Rect window(q.x - hx, q.y - hy, q.x + hx, q.y + hy);
-    const geo::Rect covered = window.Intersection(e);
-    if (!covered.IsEmpty()) {
-      // A covered point p exits first across the axis edges moving away
-      // from it; exit time is linear in p per axis, so the minimum over
-      // the covered rectangle is attained at a corner.
-      double min_exit = kNever;
-      const double xs[2] = {covered.min_x, covered.max_x};
-      const double ys[2] = {covered.min_y, covered.max_y};
-      for (double x : xs) {
-        for (double y : ys) {
-          const auto iv =
-              WindowContainmentInterval(q, l, hx, hy, geo::Point(x, y));
-          if (iv.has_value() && iv->t_in <= 0.0) {
-            min_exit = std::min(min_exit, iv->t_out);
-          }
-        }
-      }
-      exit_bound = min_exit;
-    }
-  }
-  return std::min(entry_bound, exit_bound);
 }
 
 }  // namespace lbsq::tp

@@ -2,7 +2,6 @@
 #define LBSQ_TP_INFLUENCE_H_
 
 #include <limits>
-#include <optional>
 
 #include "geometry/point.h"
 #include "geometry/rect.h"
@@ -32,29 +31,6 @@ double PointInfluenceTime(const geo::Point& q, const geo::Vec2& l,
 // Never overestimates, so best-first search on it is correct.
 double NodeInfluenceLowerBound(const geo::Point& q, const geo::Vec2& l,
                                const geo::Point& o, const geo::Rect& e);
-
-// -- Moving-window kernels (TP window queries) ------------------------------
-
-// The half-open time interval [t_in, t_out) during which point `p` is
-// covered by the moving window centered at q(t) with half-extents
-// (hx, hy); nullopt if never (for t >= 0). t_out may be kNever.
-struct ContainmentInterval {
-  double t_in = 0.0;
-  double t_out = kNever;
-};
-std::optional<ContainmentInterval> WindowContainmentInterval(
-    const geo::Point& q, const geo::Vec2& l, double hx, double hy,
-    const geo::Point& p);
-
-// First t >= 0 at which `p` changes the result of the moving window
-// query: its exit time if currently covered, else its entry time;
-// kNever if neither occurs.
-double WindowPointInfluenceTime(const geo::Point& q, const geo::Vec2& l,
-                                double hx, double hy, const geo::Point& p);
-
-// Admissible lower bound of WindowPointInfluenceTime over all p in `e`.
-double WindowNodeInfluenceLowerBound(const geo::Point& q, const geo::Vec2& l,
-                                     double hx, double hy, const geo::Rect& e);
 
 }  // namespace lbsq::tp
 

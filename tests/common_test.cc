@@ -1,11 +1,13 @@
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -227,6 +229,28 @@ TEST(ByteReaderTest, TryReadIsBoundedAndNonConsumingOnFailure) {
   EXPECT_TRUE(reader.AtEnd());
   uint8_t byte = 0;
   EXPECT_FALSE(reader.TryRead(&byte));
+}
+
+TEST(ParseTest, CountTakesOnlyWholeUnsignedDecimals) {
+  EXPECT_EQ(ParseCount("0"), std::optional<uint64_t>(0));
+  EXPECT_EQ(ParseCount("500"), std::optional<uint64_t>(500));
+  EXPECT_EQ(ParseCount("18446744073709551615"),
+            std::optional<uint64_t>(UINT64_MAX));
+  for (const char* bad : {"-1", "+1", "1x", "", " 1", "1 ", "0x10", "1.5",
+                          "18446744073709551616", "inf", "nan"}) {
+    EXPECT_EQ(ParseCount(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseTest, FiniteTakesOnlyWholeFiniteDoubles) {
+  EXPECT_EQ(ParseFinite("0.25"), std::optional<double>(0.25));
+  EXPECT_EQ(ParseFinite("-0.5"), std::optional<double>(-0.5));
+  EXPECT_EQ(ParseFinite("1e-3"), std::optional<double>(1e-3));
+  EXPECT_EQ(ParseFinite("7"), std::optional<double>(7.0));
+  for (const char* bad : {"inf", "-inf", "infinity", "nan", "1e400", "-1e400",
+                          "", "1x", "abc", "+1", " 1", "1 ", "0.5.5"}) {
+    EXPECT_EQ(ParseFinite(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -16,7 +16,8 @@
 // Differential tests for the zero-copy NodeView read path: every field a
 // NodeView decodes must match the materialized Node, and every converted
 // traversal (window, best-first k-NN) must return the same results with
-// the same node/page access counts as its pre-NodeView legacy twin.
+// the same node/page access counts as its FetchNode-based oracle in
+// tests/test_util.h.
 
 namespace lbsq {
 namespace {
@@ -155,7 +156,7 @@ void RunDifferential(rtree::RTree& tree, storage::PageManager& disk,
     const Access view_access =
         Measure(tree, disk, [&] { got = rtree::KnnBestFirst(tree, q, k); });
     const Access legacy_access = Measure(
-        tree, disk, [&] { want = rtree::KnnBestFirstLegacy(tree, q, k); });
+        tree, disk, [&] { want = test::KnnBestFirstLegacy(tree, q, k); });
     ExpectSameNeighbors(got, want);
     EXPECT_EQ(view_access.na, legacy_access.na) << "kNN NA, round " << round;
     EXPECT_EQ(view_access.pa, legacy_access.pa) << "kNN PA, round " << round;
@@ -166,7 +167,8 @@ void RunDifferential(rtree::RTree& tree, storage::PageManager& disk,
     const Access view_w =
         Measure(tree, disk, [&] { tree.WindowQuery(w, &got_w); });
     const Access legacy_w =
-        Measure(tree, disk, [&] { tree.WindowQueryLegacy(w, &want_w); });
+        Measure(tree, disk,
+                [&] { test::WindowQueryLegacy(tree, w, &want_w); });
     ExpectSameEntries(got_w, want_w);
     EXPECT_EQ(view_w.na, legacy_w.na) << "window NA, round " << round;
     EXPECT_EQ(view_w.pa, legacy_w.pa) << "window PA, round " << round;

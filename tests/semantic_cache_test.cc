@@ -22,13 +22,18 @@ namespace {
 
 const geo::Rect kUnit(0.0, 0.0, 1.0, 1.0);
 
-std::vector<uint8_t> MakeBytes(size_t n, uint8_t fill) {
+std::vector<uint8_t> Bytes(size_t n, uint8_t fill) {
   return std::vector<uint8_t>(n, fill);
+}
+
+// A cache payload of n bytes of `fill`.
+CachedBytes MakeBytes(size_t n, uint8_t fill) {
+  return MakeCachedBytes(Bytes(n, fill));
 }
 
 // A window entry whose validity region is a plain rectangle (no holes).
 void InsertWindowRect(SemanticCache* cache, double hx, double hy,
-                      const geo::Rect& rect, std::vector<uint8_t> bytes) {
+                      const geo::Rect& rect, CachedBytes bytes) {
   cache->InsertWindow(hx, hy, geo::RectMinusBoxes(rect, {}),
                       std::move(bytes));
 }
@@ -38,16 +43,16 @@ TEST(SemanticCacheTest, WindowHitMissAndParameterMatch) {
   InsertWindowRect(&cache, 0.1, 0.1, geo::Rect(0.2, 0.2, 0.4, 0.4),
                    MakeBytes(16, 7));
 
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
-  EXPECT_EQ(out, MakeBytes(16, 7));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
+  EXPECT_EQ(*out, Bytes(16, 7));
 
   // Outside the region: miss.
-  EXPECT_FALSE(cache.LookupWindow({0.5, 0.5}, 0.1, 0.1, &out));
+  EXPECT_FALSE(cache.LookupWindowShared({0.5, 0.5}, 0.1, 0.1, &out));
   // Same position, different window extents: miss (exact parameter key).
-  EXPECT_FALSE(cache.LookupWindow({0.3, 0.3}, 0.2, 0.1, &out));
+  EXPECT_FALSE(cache.LookupWindowShared({0.3, 0.3}, 0.2, 0.1, &out));
   // Different query kind entirely: miss.
-  EXPECT_FALSE(cache.LookupNn({0.3, 0.3}, 1, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.3, 0.3}, 1, &out));
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.inserts, 1u);
@@ -67,15 +72,15 @@ TEST(SemanticCacheTest, NnBisectorSemanticsAreClosed) {
   cache.InsertNn(1, kUnit, kUnit, {{0.25, 0.5}}, constraints,
                  MakeBytes(8, 1));
 
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupNn({0.1, 0.5}, 1, &out));
-  EXPECT_FALSE(cache.LookupNn({0.9, 0.5}, 1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupNnShared({0.1, 0.5}, 1, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.9, 0.5}, 1, &out));
   // Exactly on the bisector: still valid — the cache must mirror the
   // closed (>) comparison of NnValidityResult::IsValidAt, or it would
   // serve/withhold answers inconsistently with the client's own check.
-  EXPECT_TRUE(cache.LookupNn({0.5, 0.5}, 1, &out));
+  EXPECT_TRUE(cache.LookupNnShared({0.5, 0.5}, 1, &out));
   // Same position, different k: miss.
-  EXPECT_FALSE(cache.LookupNn({0.1, 0.5}, 2, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.1, 0.5}, 2, &out));
 }
 
 TEST(SemanticCacheTest, WindowHolesMirrorClosedContainment) {
@@ -85,12 +90,12 @@ TEST(SemanticCacheTest, WindowHolesMirrorClosedContainment) {
   cache.InsertWindow(0.1, 0.1, geo::RectMinusBoxes(base, {hole}),
                      MakeBytes(4, 2));
 
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.1, 0.1}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.1, 0.1}, 0.1, 0.1, &out));
   // Inside the hole's interior: invalid.
-  EXPECT_FALSE(cache.LookupWindow({0.4, 0.4}, 0.1, 0.1, &out));
+  EXPECT_FALSE(cache.LookupWindowShared({0.4, 0.4}, 0.1, 0.1, &out));
   // Exactly on the hole boundary: valid (open hole interiors).
-  EXPECT_TRUE(cache.LookupWindow({0.3, 0.4}, 0.1, 0.1, &out));
+  EXPECT_TRUE(cache.LookupWindowShared({0.3, 0.4}, 0.1, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, RangeDiskRegion) {
@@ -99,10 +104,10 @@ TEST(SemanticCacheTest, RangeDiskRegion) {
   geo::DiskRegion region(bounds, {{{0.5, 0.5}, 0.2}}, {});
   cache.InsertRange(0.25, region, MakeBytes(4, 3));
 
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupRange({0.5, 0.5}, 0.25, &out));
-  EXPECT_FALSE(cache.LookupRange({0.69, 0.69}, 0.25, &out));  // outside disk
-  EXPECT_FALSE(cache.LookupRange({0.5, 0.5}, 0.1, &out));     // wrong radius
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupRangeShared({0.5, 0.5}, 0.25, &out));
+  EXPECT_FALSE(cache.LookupRangeShared({0.69, 0.69}, 0.25, &out));  // outside disk
+  EXPECT_FALSE(cache.LookupRangeShared({0.5, 0.5}, 0.1, &out));     // wrong radius
 }
 
 TEST(SemanticCacheTest, LruEvictsLeastRecentlyUsed) {
@@ -115,16 +120,16 @@ TEST(SemanticCacheTest, LruEvictsLeastRecentlyUsed) {
                    MakeBytes(4, 2));  // B
 
   // Touch A so B becomes the LRU victim.
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(cache.LookupWindow({0.1, 0.1}, 0.1, 0.1, &out));
+  CachedBytes out;
+  ASSERT_TRUE(cache.LookupWindowShared({0.1, 0.1}, 0.1, 0.1, &out));
 
   InsertWindowRect(&cache, 0.1, 0.1, geo::Rect(0.8, 0.8, 1.0, 1.0),
                    MakeBytes(4, 3));  // C evicts B
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.LookupWindow({0.1, 0.1}, 0.1, 0.1, &out));   // A alive
-  EXPECT_FALSE(cache.LookupWindow({0.5, 0.5}, 0.1, 0.1, &out));  // B gone
-  EXPECT_TRUE(cache.LookupWindow({0.9, 0.9}, 0.1, 0.1, &out));   // C alive
+  EXPECT_TRUE(cache.LookupWindowShared({0.1, 0.1}, 0.1, 0.1, &out));   // A alive
+  EXPECT_FALSE(cache.LookupWindowShared({0.5, 0.5}, 0.1, 0.1, &out));  // B gone
+  EXPECT_TRUE(cache.LookupWindowShared({0.9, 0.9}, 0.1, 0.1, &out));   // C alive
 }
 
 TEST(SemanticCacheTest, ByteBudgetBoundsOccupancy) {
@@ -165,8 +170,8 @@ TEST(SemanticCacheTest, InvalidateDropsStaleEntriesLazily) {
                    MakeBytes(4, 1));
   cache.Invalidate();
 
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_FALSE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
   EXPECT_EQ(cache.entries(), 0u);  // dropped by the lookup itself
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.epoch_invalidations, 1u);
@@ -175,8 +180,8 @@ TEST(SemanticCacheTest, InvalidateDropsStaleEntriesLazily) {
   // Entries inserted after the bump are live again.
   InsertWindowRect(&cache, 0.1, 0.1, geo::Rect(0.2, 0.2, 0.4, 0.4),
                    MakeBytes(4, 2));
-  EXPECT_TRUE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
-  EXPECT_EQ(out, MakeBytes(4, 2));
+  EXPECT_TRUE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
+  EXPECT_EQ(*out, Bytes(4, 2));
 }
 
 TEST(SemanticCacheTest, ScrubPurgesEagerly) {
@@ -191,8 +196,8 @@ TEST(SemanticCacheTest, ScrubPurgesEagerly) {
 
   EXPECT_EQ(cache.Scrub(), 2u);  // only the pre-bump entries
   EXPECT_EQ(cache.entries(), 1u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.45, 0.45}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.45, 0.45}, 0.1, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, ClearDropsEverything) {
@@ -202,8 +207,8 @@ TEST(SemanticCacheTest, ClearDropsEverything) {
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_FALSE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, MostRecentInsertWinsWithinCell) {
@@ -215,9 +220,9 @@ TEST(SemanticCacheTest, MostRecentInsertWinsWithinCell) {
                    MakeBytes(4, 1));
   InsertWindowRect(&cache, 0.1, 0.1, geo::Rect(0.25, 0.25, 0.45, 0.45),
                    MakeBytes(4, 2));
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
-  EXPECT_TRUE(out == MakeBytes(4, 1) || out == MakeBytes(4, 2));
+  CachedBytes out;
+  ASSERT_TRUE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
+  EXPECT_TRUE(*out == Bytes(4, 1) || *out == Bytes(4, 2));
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -234,13 +239,13 @@ TEST(SemanticCacheTest, InvalidateAtKillsOnlyAffectedNnEntries) {
   // An insert far beyond the rival can never beat the answer anywhere in
   // the region: retained.
   EXPECT_EQ(cache.InvalidateAt({0.99, 0.5}, UpdateKind::kInsert), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
 
   // An insert right next to the answer beats it over most of the region:
   // killed.
   EXPECT_EQ(cache.InvalidateAt({0.31, 0.5}, UpdateKind::kInsert), 1u);
-  EXPECT_FALSE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
   EXPECT_EQ(cache.stats().entries_invalidated_by_update, 1u);
   EXPECT_EQ(cache.stats().epoch_invalidations, 0u);
 }
@@ -259,8 +264,8 @@ TEST(SemanticCacheTest, InsertExactlyOnBisectorInvalidates) {
   cache.InsertNn(1, kUnit, bounds, {answer}, {{answer, rival}},
                  MakeBytes(8, 1));
   EXPECT_EQ(cache.InvalidateAt(rival, UpdateKind::kInsert), 1u);
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  CachedBytes out;
+  EXPECT_FALSE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
 }
 
 TEST(SemanticCacheTest, NnDeleteKillsOnlyReferencedObjects) {
@@ -273,12 +278,12 @@ TEST(SemanticCacheTest, NnDeleteKillsOnlyReferencedObjects) {
 
   // Deleting an object the answer never referenced changes nothing.
   EXPECT_EQ(cache.InvalidateAt({0.2, 0.2}, UpdateKind::kDelete), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
 
   // Deleting the influence rival changes the encoded region: killed.
   EXPECT_EQ(cache.InvalidateAt(rival, UpdateKind::kDelete), 1u);
-  EXPECT_FALSE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
 
   // Deleting the answer member itself kills too.
   cache.InsertNn(1, kUnit, bounds, {answer}, {{answer, rival}},
@@ -292,10 +297,10 @@ TEST(SemanticCacheTest, UnderFilledNnAnswerDiesOnAnyInsert) {
   // points", valid everywhere, and any insert anywhere joins it.
   cache.InsertNn(5, kUnit, kUnit, {{0.2, 0.2}, {0.8, 0.8}}, {},
                  MakeBytes(8, 1));
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(cache.LookupNn({0.5, 0.5}, 5, &out));
+  CachedBytes out;
+  ASSERT_TRUE(cache.LookupNnShared({0.5, 0.5}, 5, &out));
   EXPECT_EQ(cache.InvalidateAt({0.9, 0.1}, UpdateKind::kInsert), 1u);
-  EXPECT_FALSE(cache.LookupNn({0.5, 0.5}, 5, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.5, 0.5}, 5, &out));
 
   // Deleting a non-member leaves the all-points answer intact; deleting
   // a member kills it.
@@ -315,10 +320,10 @@ TEST(SemanticCacheTest, WindowKillPredicateIsDilatedBase) {
                    MakeBytes(8, 1));
   EXPECT_EQ(cache.InvalidateAt({0.61, 0.3}, UpdateKind::kInsert), 0u);
   EXPECT_EQ(cache.InvalidateAt({0.61, 0.3}, UpdateKind::kDelete), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.4, 0.4}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.4, 0.4}, 0.1, 0.1, &out));
   EXPECT_EQ(cache.InvalidateAt({0.6, 0.6}, UpdateKind::kInsert), 1u);
-  EXPECT_FALSE(cache.LookupWindow({0.4, 0.4}, 0.1, 0.1, &out));
+  EXPECT_FALSE(cache.LookupWindowShared({0.4, 0.4}, 0.1, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, RangeKillPredicateIsDilatedBounds) {
@@ -329,10 +334,10 @@ TEST(SemanticCacheTest, RangeKillPredicateIsDilatedBounds) {
                          {{{0.5, 0.5}, 0.05}}, {});
   cache.InsertRange(0.1, region, MakeBytes(8, 1));
   EXPECT_EQ(cache.InvalidateAt({0.75, 0.5}, UpdateKind::kInsert), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupRange({0.5, 0.5}, 0.1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupRangeShared({0.5, 0.5}, 0.1, &out));
   EXPECT_EQ(cache.InvalidateAt({0.65, 0.5}, UpdateKind::kDelete), 1u);
-  EXPECT_FALSE(cache.LookupRange({0.5, 0.5}, 0.1, &out));
+  EXPECT_FALSE(cache.LookupRangeShared({0.5, 0.5}, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, InvalidateAtOutsideUniverseFallsBackToEpoch) {
@@ -343,8 +348,8 @@ TEST(SemanticCacheTest, InvalidateAtOutsideUniverseFallsBackToEpoch) {
   // miss entries; the cache must take the epoch path instead.
   EXPECT_EQ(cache.InvalidateAt({1.5, 0.5}, UpdateKind::kInsert), 0u);
   EXPECT_EQ(cache.stats().epoch_invalidations, 1u);
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_FALSE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
   EXPECT_EQ(cache.stats().stale_drops, 1u);
 }
 
@@ -371,21 +376,21 @@ TEST(SemanticCacheTest, CellCompactionReclaimsDeadCapacity) {
   // The cache still works after compaction.
   InsertWindowRect(&cache, 0.05, 0.05, geo::Rect(0.2, 0.2, 0.3, 0.3),
                    MakeBytes(8, 1));
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.25, 0.25}, 0.05, 0.05, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.25, 0.25}, 0.05, 0.05, &out));
 }
 
 TEST(SemanticCacheTest, AccountingInvariantHolds) {
   CacheConfig config;
   config.max_entries = 16;  // force eviction churn
   SemanticCache cache(kUnit, config);
-  std::vector<uint8_t> out;
+  CachedBytes out;
   for (int i = 0; i < 200; ++i) {
     const double lo = 0.004 * (i % 200);
     InsertWindowRect(&cache, 0.05, 0.05,
                      geo::Rect(lo, lo, lo + 0.05, lo + 0.05),
                      MakeBytes(8, static_cast<uint8_t>(i)));
-    cache.LookupWindow({lo + 0.02, lo + 0.02}, 0.05, 0.05, &out);
+    cache.LookupWindowShared({lo + 0.02, lo + 0.02}, 0.05, 0.05, &out);
     if (i % 31 == 0) cache.Invalidate();
     if (i % 7 == 0) {
       cache.InvalidateAt({lo, lo}, UpdateKind::kInsert);
@@ -436,8 +441,8 @@ TEST(SemanticCacheTest, KillFootprintDefinitionsCoverEveryActualKill) {
                      MakeBytes(8, 1));
        },
        [&](SemanticCache* c) {
-         std::vector<uint8_t> out;
-         return c->LookupNn({0.45, 0.5}, 1, &out);
+         CachedBytes out;
+         return c->LookupNnShared({0.45, 0.5}, 1, &out);
        }});
   probes.push_back(
       {"window", SemanticCache::WindowKillFootprint(window_base, 0.05, 0.07),
@@ -446,8 +451,8 @@ TEST(SemanticCacheTest, KillFootprintDefinitionsCoverEveryActualKill) {
                          MakeBytes(8, 2));
        },
        [&](SemanticCache* c) {
-         std::vector<uint8_t> out;
-         return c->LookupWindow({0.3, 0.4}, 0.05, 0.07, &out);
+         CachedBytes out;
+         return c->LookupWindowShared({0.3, 0.4}, 0.05, 0.07, &out);
        }});
   probes.push_back(
       {"range", SemanticCache::RangeKillFootprint(range_bounds, 0.25),
@@ -455,8 +460,8 @@ TEST(SemanticCacheTest, KillFootprintDefinitionsCoverEveryActualKill) {
          c->InsertRange(0.25, range_region, MakeBytes(8, 3));
        },
        [&](SemanticCache* c) {
-         std::vector<uint8_t> out;
-         return c->LookupRange({0.5, 0.5}, 0.25, &out);
+         CachedBytes out;
+         return c->LookupRangeShared({0.5, 0.5}, 0.25, &out);
        }});
 
   for (const Probe& probe : probes) {

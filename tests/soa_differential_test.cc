@@ -11,21 +11,22 @@
 #include "rtree/knn.h"
 #include "rtree/rtree.h"
 #include "storage/page_manager.h"
+#include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
 
 // Differential gate for the SoA/vectorized hot paths: a 10k clustered
 // kNN/window/range query stream runs through the vectorized scans on
-// one tree and the scalar legacy twins (KnnBestFirstLegacy /
-// WindowQueryLegacy) on an identically built second tree. Results must
-// match entry for entry, and the aggregate NA (buffer logical accesses)
-// and PA (disk reads) over the whole stream must be identical — the
-// SIMD layout may only change how a node is scanned, never which nodes
-// are visited. A stratified subsample then runs the full wire path on
-// both trees: the encoded answer bytes must be byte-equal across trees,
-// and range answers are additionally checked against a brute-force
-// scalar distance filter, pinning the SoA mask arithmetic to the plain
-// SquaredDistance definition.
+// one tree and the scalar oracles of tests/test_util.h
+// (KnnBestFirstLegacy / WindowQueryLegacy) on an identically built
+// second tree. Results must match entry for entry, and the aggregate NA
+// (buffer logical accesses) and PA (disk reads) over the whole stream
+// must be identical — the SIMD layout may only change how a node is
+// scanned, never which nodes are visited. A stratified subsample then
+// runs the full wire path on both trees: the encoded answer bytes must
+// be byte-equal across trees, and range answers are additionally checked
+// against a brute-force scalar distance filter, pinning the SoA mask
+// arithmetic to the plain SquaredDistance definition.
 
 namespace lbsq {
 namespace {
@@ -79,7 +80,7 @@ TEST(SoaDifferentialTest, ClusteredStreamMatchesLegacyScansAndAccessCounts) {
     switch (KindOf(i)) {
       case Kind::kNn: {
         const auto got = rtree::KnnBestFirst(soa.tree, q, KOf(i));
-        const auto want = rtree::KnnBestFirstLegacy(legacy.tree, q, KOf(i));
+        const auto want = test::KnnBestFirstLegacy(legacy.tree, q, KOf(i));
         ASSERT_EQ(got.size(), want.size()) << "query " << i;
         for (size_t r = 0; r < got.size(); ++r) {
           mismatches += got[r].entry.id != want[r].entry.id;
@@ -91,7 +92,7 @@ TEST(SoaDifferentialTest, ClusteredStreamMatchesLegacyScansAndAccessCounts) {
         const geo::Rect w = geo::Rect::Centered(q, 0.01, 0.008);
         std::vector<rtree::DataEntry> got, want;
         soa.tree.WindowQuery(w, &got);
-        legacy.tree.WindowQueryLegacy(w, &want);
+        test::WindowQueryLegacy(legacy.tree, w, &want);
         ASSERT_EQ(got.size(), want.size()) << "query " << i;
         for (size_t r = 0; r < got.size(); ++r) {
           mismatches += got[r].id != want[r].id;
@@ -105,7 +106,7 @@ TEST(SoaDifferentialTest, ClusteredStreamMatchesLegacyScansAndAccessCounts) {
         const geo::Rect w = geo::Rect::Centered(q, 0.01, 0.01);
         std::vector<rtree::DataEntry> got, want;
         soa.tree.WindowQuery(w, &got);
-        legacy.tree.WindowQueryLegacy(w, &want);
+        test::WindowQueryLegacy(legacy.tree, w, &want);
         ASSERT_EQ(got.size(), want.size()) << "query " << i;
         for (size_t r = 0; r < got.size(); ++r) {
           mismatches += got[r].id != want[r].id;
@@ -156,8 +157,8 @@ TEST(SoaDifferentialTest, WireBytesByteEqualAcrossTreesWithScalarRangeOracle) {
         // Scalar oracle for the SoA distance mask: brute-force filter of
         // the legacy window collect by plain SquaredDistance.
         std::vector<rtree::DataEntry> candidates;
-        b.tree.WindowQueryLegacy(geo::Rect::Centered(q, radius, radius),
-                                 &candidates);
+        test::WindowQueryLegacy(
+            b.tree, geo::Rect::Centered(q, radius, radius), &candidates);
         std::vector<uint32_t> expect_ids;
         for (const rtree::DataEntry& e : candidates) {
           if (geo::SquaredDistance(q, e.point) <= radius * radius) {

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "common/rng.h"
@@ -81,6 +82,79 @@ inline std::vector<rtree::ObjectId> Ids(
   for (const rtree::Neighbor& n : neighbors) ids.push_back(n.entry.id);
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+// -- Scan oracles on the materializing read path ---------------------------
+
+// Best-first k-NN [HS99] without pruning: one queue holding nodes *and*
+// points, every entry pushed, each node decoded by RTree::FetchNode.
+// rtree::KnnBestFirst must return the same neighbours and, because
+// FetchNode counts one node access like FetchView, the same NA and PA.
+inline std::vector<rtree::Neighbor> KnnBestFirstLegacy(rtree::RTree& tree,
+                                                       const geo::Point& q,
+                                                       size_t k) {
+  if (tree.size() == 0) return {};
+  struct QueueItem {
+    double distance;
+    bool is_node;
+    storage::PageId page = storage::kInvalidPageId;
+    rtree::DataEntry entry;
+  };
+  struct Later {
+    bool operator()(const QueueItem& a, const QueueItem& b) const {
+      if (a.distance != b.distance) return a.distance > b.distance;
+      // Expand nodes before points at equal distance so that a point is
+      // only emitted once no closer node remains; tie-break points by id.
+      if (a.is_node != b.is_node) return !a.is_node;
+      return a.entry.id > b.entry.id;
+    }
+  };
+  std::priority_queue<QueueItem, std::vector<QueueItem>, Later> queue;
+  queue.push(QueueItem{0.0, true, tree.root(), {}});
+  std::vector<rtree::Neighbor> out;
+  while (!queue.empty() && out.size() < k) {
+    const QueueItem item = queue.top();
+    queue.pop();
+    if (!item.is_node) {
+      out.push_back(rtree::Neighbor{item.entry, item.distance});
+      continue;
+    }
+    const rtree::Node node = tree.FetchNode(item.page);
+    if (node.is_leaf()) {
+      for (const rtree::DataEntry& e : node.data) {
+        queue.push(QueueItem{geo::Distance(q, e.point), false,
+                             storage::kInvalidPageId, e});
+      }
+    } else {
+      for (const rtree::ChildEntry& e : node.children) {
+        queue.push(QueueItem{geo::MinDist(q, e.mbr), true, e.child, {}});
+      }
+    }
+  }
+  return out;
+}
+
+// Depth-first window query with plain Rect::Intersects/Contains tests,
+// each node decoded by RTree::FetchNode: the node set, emit order, NA
+// and PA that RTree::WindowQuery must reproduce.
+inline void WindowQueryLegacy(rtree::RTree& tree, const geo::Rect& w,
+                              std::vector<rtree::DataEntry>* out) {
+  out->clear();
+  std::vector<storage::PageId> stack = {tree.root()};
+  while (!stack.empty()) {
+    const storage::PageId id = stack.back();
+    stack.pop_back();
+    const rtree::Node node = tree.FetchNode(id);
+    if (node.is_leaf()) {
+      for (const rtree::DataEntry& e : node.data) {
+        if (w.Contains(e.point)) out->push_back(e);
+      }
+    } else {
+      for (const rtree::ChildEntry& e : node.children) {
+        if (w.Intersects(e.mbr)) stack.push_back(e.child);
+      }
+    }
+  }
 }
 
 // -- Degenerate data sets (ids in data order) ---------------------------------

@@ -121,25 +121,5 @@ TEST(TpnnEdgeTest, AllDirectionsSweep) {
   EXPECT_GT(min_time, 0.0);
 }
 
-TEST(WindowInfluenceEdgeTest, PointOnWindowEdgeInfluencesAtZero) {
-  // A point exactly on the trailing edge leaves immediately when moving
-  // away from it.
-  const double t = WindowPointInfluenceTime({0.0, 0.0}, {1.0, 0.0}, 1.0, 1.0,
-                                            {-1.0, 0.0});
-  EXPECT_DOUBLE_EQ(t, 0.0);
-}
-
-TEST(WindowInfluenceEdgeTest, StationaryPerpendicularCoverage) {
-  // Moving along +x; a covered point at the focus column leaves when the
-  // trailing edge passes it, at t = hx.
-  const double t = WindowPointInfluenceTime({0.0, 0.0}, {1.0, 0.0}, 1.0, 1.0,
-                                            {0.0, 0.5});
-  EXPECT_DOUBLE_EQ(t, 1.0);
-  // Offset in y beyond the half-extent: never covered either.
-  const double t2 = WindowPointInfluenceTime({0.0, 0.0}, {1.0, 0.0}, 1.0,
-                                             1.0, {3.0, 2.5});
-  EXPECT_EQ(t2, kNever);
-}
-
 }  // namespace
 }  // namespace lbsq::tp

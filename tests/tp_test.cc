@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/nn_validity.h"
 #include "rtree/knn.h"
 #include "tests/test_util.h"
 #include "tp/influence.h"
-#include "tp/tp_window.h"
 #include "tp/tpnn.h"
 #include "workload/datasets.h"
 
@@ -232,98 +232,51 @@ TEST(TpnnTest, EmptyAndSingletonTrees) {
       Tpnn(tree2, {0.5, 0.5}, {1.0, 0.0}, {0.25, 0.25}, 3).found);
 }
 
-// ---------------------------------------------------------------------------
-// TP window query
-// ---------------------------------------------------------------------------
+TEST(TpnnTest, HopsLandOnValidityRegionBoundaries) {
+  // Walks a segment by TPNN hops [TPS02]: from each position the hop ends
+  // where the current nearest neighbour first loses to another object.
+  // Those ends are exactly where the served validity regions of Section 3
+  // end, so each interval's neighbour must be the brute-force one at its
+  // midpoint and own a region that holds the interval and stops at its
+  // end.
+  const auto dataset = MakeUnitUniform(1000, 705);
+  TreeFixture fx(dataset.entries, 64, SmallNodeOptions());
+  core::NnValidityEngine engine(fx.tree.get(), geo::Rect(0, 0, 1, 1));
+  const geo::Point a{0.2, 0.3};
+  const geo::Point b{0.8, 0.7};
+  const double length = geo::Distance(a, b);
+  const geo::Vec2 dir = (b - a) * (1.0 / length);
 
-TEST(TpWindowTest, MatchesBruteForceExpiry) {
-  const auto dataset = MakeUnitUniform(800, 107);
-  TreeFixture fx(dataset.entries, 32, SmallNodeOptions());
-  Rng rng(15);
-  for (int trial = 0; trial < 60; ++trial) {
-    const geo::Point focus{rng.Uniform(0.1, 0.9), rng.Uniform(0.1, 0.9)};
-    const double hx = rng.Uniform(0.01, 0.1);
-    const double hy = rng.Uniform(0.01, 0.1);
-    const geo::Rect window = geo::Rect::Centered(focus, hx, hy);
-    const double angle = rng.Uniform(0, 2 * M_PI);
-    const geo::Vec2 l{std::cos(angle), std::sin(angle)};
+  DataEntry current = BruteForceKnn(dataset.entries, a, 1)[0].entry;
+  double begin = 0.0;
+  size_t intervals = 0;
+  while (begin < length) {
+    ASSERT_LT(intervals, dataset.entries.size()) << "hops do not advance";
+    const TpnnResult next =
+        Tpnn(*fx.tree, a + dir * begin, dir, current.point, current.id);
+    const bool last = !next.found || begin + next.time >= length;
+    const double end = last ? length : begin + next.time;
+    ASSERT_GT(end, begin) << "zero-length hop at " << begin;
+    ++intervals;
 
-    double expected = kNever;
-    size_t in_window = 0;
-    for (const DataEntry& e : dataset.entries) {
-      if (window.Contains(e.point)) ++in_window;
-      expected = std::min(
-          expected, WindowPointInfluenceTime(focus, l, hx, hy, e.point));
+    const geo::Point mid = a + dir * (0.5 * (begin + end));
+    EXPECT_EQ(BruteForceKnn(dataset.entries, mid, 1)[0].entry.id, current.id)
+        << "wrong NN at parameter " << 0.5 * (begin + end);
+    const auto region = engine.Query(mid, 1);
+    ASSERT_EQ(region.answers()[0].entry.id, current.id);
+    EXPECT_TRUE(region.IsValidAt(mid));
+    if (!last) {
+      // The crossing is on (within rounding of) the region's boundary.
+      const geo::Point crossing = a + dir * end;
+      const geo::Point before = a + dir * (end - 1e-9);
+      const geo::Point after = a + dir * (end + 1e-9);
+      EXPECT_TRUE(region.IsValidAt(before) || region.IsValidAt(crossing));
+      EXPECT_FALSE(region.IsValidAt(after));
+      current = next.object;
     }
-
-    const TpWindowResult got = TpWindowQuery(*fx.tree, window, l);
-    EXPECT_EQ(got.result.size(), in_window);
-    if (expected == kNever) {
-      EXPECT_EQ(got.expiry, kNever);
-    } else {
-      EXPECT_NEAR(got.expiry, expected, 1e-9 * (1.0 + expected));
-      EXPECT_GE(got.leaving.size() + got.entering.size(), 1u);
-    }
+    begin = end;
   }
-}
-
-TEST(TpWindowTest, LeavingAndEnteringClassification) {
-  // One object inside moving out at t=1 (trailing edge), one ahead
-  // entering at t=2.
-  std::vector<DataEntry> data = {{{0.0, 0.0}, 1}, {{3.0, 0.0}, 2}};
-  TreeFixture fx(data, 8);
-  const geo::Rect window(-1.0, -1.0, 1.0, 1.0);  // focus (0,0), h=1
-  const TpWindowResult got = TpWindowQuery(*fx.tree, window, {1.0, 0.0});
-  ASSERT_EQ(got.result.size(), 1u);
-  EXPECT_EQ(got.result[0].id, 1u);
-  EXPECT_DOUBLE_EQ(got.expiry, 1.0);
-  ASSERT_EQ(got.leaving.size(), 1u);
-  EXPECT_EQ(got.leaving[0].id, 1u);
-  EXPECT_TRUE(got.entering.empty());
-}
-
-TEST(WindowContainmentTest, IntervalSemantics) {
-  // Window h=1 at focus origin moving +x at unit speed; point at (3, 0)
-  // is covered for t in [2, 4].
-  const auto iv =
-      WindowContainmentInterval({0.0, 0.0}, {1.0, 0.0}, 1.0, 1.0, {3.0, 0.0});
-  ASSERT_TRUE(iv.has_value());
-  EXPECT_DOUBLE_EQ(iv->t_in, 2.0);
-  EXPECT_DOUBLE_EQ(iv->t_out, 4.0);
-
-  // Point too far off-axis: never covered.
-  EXPECT_FALSE(WindowContainmentInterval({0.0, 0.0}, {1.0, 0.0}, 1.0, 1.0,
-                                         {3.0, 5.0})
-                   .has_value());
-
-  // Stationary axis keeps coverage unbounded.
-  const auto iv2 =
-      WindowContainmentInterval({0.0, 0.0}, {0.0, 1.0}, 1.0, 1.0, {0.5, 0.0});
-  ASSERT_TRUE(iv2.has_value());
-  EXPECT_DOUBLE_EQ(iv2->t_in, 0.0);
-  EXPECT_DOUBLE_EQ(iv2->t_out, 1.0);
-}
-
-TEST(WindowNodeBoundTest, AdmissibleOverContainedPoints) {
-  Rng rng(21);
-  for (int trial = 0; trial < 300; ++trial) {
-    const geo::Point q{rng.NextDouble(), rng.NextDouble()};
-    const double hx = rng.Uniform(0.02, 0.2);
-    const double hy = rng.Uniform(0.02, 0.2);
-    const double angle = rng.Uniform(0, 2 * M_PI);
-    const geo::Vec2 l{std::cos(angle), std::sin(angle)};
-    const double x0 = rng.Uniform(-0.5, 1.5);
-    const double y0 = rng.Uniform(-0.5, 1.5);
-    const geo::Rect e(x0, y0, x0 + rng.Uniform(0.01, 0.6),
-                      y0 + rng.Uniform(0.01, 0.6));
-    const double bound = WindowNodeInfluenceLowerBound(q, l, hx, hy, e);
-    for (int i = 0; i < 30; ++i) {
-      const geo::Point p{rng.Uniform(e.min_x, e.max_x),
-                         rng.Uniform(e.min_y, e.max_y)};
-      const double t = WindowPointInfluenceTime(q, l, hx, hy, p);
-      EXPECT_LE(bound, t + 1e-9);
-    }
-  }
+  EXPECT_GT(intervals, 1u);
 }
 
 }  // namespace

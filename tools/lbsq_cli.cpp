@@ -28,24 +28,35 @@
 // also write a checksum sidecar (<index>.sum); later invocations verify
 // every fetched page against it and `scrub` audits the whole file, so
 // on-disk corruption is reported instead of silently served.
+//
+// Numeric flags must be one whole number (common/parse.h), and query
+// flags must lie in the query's domain: the point inside the index's
+// universe, 1 <= k <= 1024 (the wire protocol's bound), hx, hy and r
+// positive, ports within 16 bits. Anything else prints a message and
+// exits 2, as a missing flag does; aborts are left to internal
+// invariants.
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cache/semantic_cache.h"
+#include "common/parse.h"
 #include "core/nn_validity.h"
 #include "core/range_validity.h"
 #include "core/server.h"
 #include "core/window_validity.h"
+#include "net/frame.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "partition/partitioned_server.h"
@@ -64,10 +75,14 @@ using ArgMap = std::map<std::string, std::string>;
 
 ArgMap ParseArgs(int argc, char** argv, int first) {
   ArgMap args;
-  for (int i = first; i + 1 < argc; i += 2) {
+  for (int i = first; i < argc; i += 2) {
     const char* key = argv[i];
     if (std::strncmp(key, "--", 2) != 0) {
       std::fprintf(stderr, "expected --flag, got '%s'\n", key);
+      std::exit(2);
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "flag %s has no value\n", key);
       std::exit(2);
     }
     args[key + 2] = argv[i + 1];
@@ -90,15 +105,66 @@ std::string GetOr(const ArgMap& args, const std::string& key,
   return it == args.end() ? fallback : it->second;
 }
 
+[[noreturn]] void BadFlag(const std::string& key, const std::string& value,
+                          const char* expected) {
+  std::fprintf(stderr, "bad --%s '%s': expected %s\n", key.c_str(),
+               value.c_str(), expected);
+  std::exit(2);
+}
+
+// Numeric flag --key: required when `fallback` is null, else defaulted.
+uint64_t CountFlag(const ArgMap& args, const std::string& key,
+                   const char* fallback = nullptr) {
+  const std::string text =
+      fallback == nullptr ? Require(args, key) : GetOr(args, key, fallback);
+  const std::optional<uint64_t> v = ParseCount(text);
+  if (!v.has_value()) BadFlag(key, text, "a non-negative integer");
+  return *v;
+}
+
+double FiniteFlag(const ArgMap& args, const std::string& key) {
+  const std::string text = Require(args, key);
+  const std::optional<double> v = ParseFinite(text);
+  if (!v.has_value()) BadFlag(key, text, "a finite number");
+  return *v;
+}
+
+double PositiveFlag(const ArgMap& args, const std::string& key) {
+  const double v = FiniteFlag(args, key);
+  if (!(v > 0.0)) BadFlag(key, Require(args, key), "a positive number");
+  return v;
+}
+
+uint16_t PortFlag(const ArgMap& args, const char* fallback = nullptr) {
+  const uint64_t port = CountFlag(args, "port", fallback);
+  if (port > UINT16_MAX) {
+    BadFlag("port", std::to_string(port), "a port in [0, 65535]");
+  }
+  return static_cast<uint16_t>(port);
+}
+
+// The query point --x/--y, which must lie in the index's universe.
+geo::Point PointFlags(const ArgMap& args, const geo::Rect& universe) {
+  const geo::Point q{FiniteFlag(args, "x"), FiniteFlag(args, "y")};
+  if (!universe.Contains(q)) {
+    std::fprintf(stderr,
+                 "query point (%g, %g) lies outside the index's universe "
+                 "[%g, %g] x [%g, %g]\n",
+                 q.x, q.y, universe.min_x, universe.max_x, universe.min_y,
+                 universe.max_y);
+    std::exit(2);
+  }
+  return q;
+}
+
 // ---------------------------------------------------------------------------
 // generate
 // ---------------------------------------------------------------------------
 
 int CmdGenerate(const ArgMap& args) {
   const std::string type = GetOr(args, "type", "uniform");
-  const auto seed = static_cast<uint64_t>(
-      std::strtoull(GetOr(args, "seed", "42").c_str(), nullptr, 10));
-  const size_t n = std::strtoul(GetOr(args, "n", "100000").c_str(), nullptr, 10);
+  const uint64_t seed = CountFlag(args, "seed", "42");
+  const size_t n = CountFlag(args, "n", "100000");
   const std::string out_path = Require(args, "out");
 
   workload::Dataset dataset;
@@ -275,9 +341,11 @@ int CmdStats(const ArgMap& args) {
 
 int CmdNn(const ArgMap& args) {
   AttachedIndex idx = Attach(Require(args, "index"));
-  const geo::Point q{std::strtod(Require(args, "x").c_str(), nullptr),
-                     std::strtod(Require(args, "y").c_str(), nullptr)};
-  const size_t k = std::strtoul(GetOr(args, "k", "1").c_str(), nullptr, 10);
+  const geo::Point q = PointFlags(args, idx.universe);
+  const size_t k = CountFlag(args, "k", "1");
+  if (k < 1 || k > net::kMaxRequestK) {
+    BadFlag("k", std::to_string(k), "an integer in [1, 1024]");
+  }
   core::NnValidityEngine engine(idx.tree.get(), idx.universe);
   storage::PageStore::ClearReadError();
   const auto result = engine.Query(q, k);
@@ -297,10 +365,9 @@ int CmdNn(const ArgMap& args) {
 
 int CmdWindow(const ArgMap& args) {
   AttachedIndex idx = Attach(Require(args, "index"));
-  const geo::Point q{std::strtod(Require(args, "x").c_str(), nullptr),
-                     std::strtod(Require(args, "y").c_str(), nullptr)};
-  const double hx = std::strtod(Require(args, "hx").c_str(), nullptr);
-  const double hy = std::strtod(Require(args, "hy").c_str(), nullptr);
+  const geo::Point q = PointFlags(args, idx.universe);
+  const double hx = PositiveFlag(args, "hx");
+  const double hy = PositiveFlag(args, "hy");
   core::WindowValidityEngine engine(idx.tree.get(), idx.universe);
   storage::PageStore::ClearReadError();
   const auto result = engine.Query(q, hx, hy);
@@ -319,9 +386,8 @@ int CmdWindow(const ArgMap& args) {
 
 int CmdRange(const ArgMap& args) {
   AttachedIndex idx = Attach(Require(args, "index"));
-  const geo::Point q{std::strtod(Require(args, "x").c_str(), nullptr),
-                     std::strtod(Require(args, "y").c_str(), nullptr)};
-  const double r = std::strtod(Require(args, "r").c_str(), nullptr);
+  const geo::Point q = PointFlags(args, idx.universe);
+  const double r = PositiveFlag(args, "r");
   core::RangeValidityEngine engine(idx.tree.get(), idx.universe);
   storage::PageStore::ClearReadError();
   const auto result = engine.Query(q, r);
@@ -355,20 +421,14 @@ void HandleSigint(int) {
 
 int CmdServe(const ArgMap& args) {
   AttachedIndex idx = Attach(Require(args, "index"));
-  const size_t fragments =
-      std::strtoul(GetOr(args, "fragments", "1").c_str(), nullptr, 10);
-  if (fragments == 0) {
-    std::fprintf(stderr, "--fragments must be >= 1\n");
-    return 2;
-  }
+  const size_t fragments = CountFlag(args, "fragments", "1");
+  if (fragments == 0) BadFlag("fragments", "0", "at least 1");
 
   const std::string cache_flag = GetOr(args, "cache", "on");
   cache::CacheConfig config;
-  config.max_entries =
-      std::strtoul(GetOr(args, "cache-entries", "4096").c_str(), nullptr, 10);
-  config.max_bytes = std::strtoul(
-      GetOr(args, "cache-bytes", std::to_string(4u << 20)).c_str(), nullptr,
-      10);
+  config.max_entries = CountFlag(args, "cache-entries", "4096");
+  config.max_bytes =
+      CountFlag(args, "cache-bytes", std::to_string(4u << 20).c_str());
   if (cache_flag != "on" && cache_flag != "off") {
     std::fprintf(stderr, "unknown --cache '%s' (on|off)\n", cache_flag.c_str());
     return 2;
@@ -404,14 +464,12 @@ int CmdServe(const ArgMap& args) {
   }
 
   net::NetOptions options;
-  options.port = static_cast<uint16_t>(
-      std::strtoul(GetOr(args, "port", "19537").c_str(), nullptr, 10));
+  options.port = PortFlag(args, "19537");
   net::NetServer serving(service, options);
   std::unique_ptr<push::PushScheduler> pusher;
   if (push_flag == "on") {
     push::PushConfig push_config;
-    push_config.max_subscriptions = std::strtoul(
-        GetOr(args, "push-subs", "1024").c_str(), nullptr, 10);
+    push_config.max_subscriptions = CountFlag(args, "push-subs", "1024");
     pusher = std::make_unique<push::PushScheduler>(service, push_config,
                                                    serving.mutable_stats());
     pusher->set_wake([&serving] { serving.Wake(); });
@@ -477,10 +535,8 @@ int CmdServe(const ArgMap& args) {
 
 int CmdPing(const ArgMap& args) {
   const std::string host = GetOr(args, "host", "127.0.0.1");
-  const auto port = static_cast<uint16_t>(
-      std::strtoul(Require(args, "port").c_str(), nullptr, 10));
-  const size_t count =
-      std::strtoul(GetOr(args, "count", "5").c_str(), nullptr, 10);
+  const uint16_t port = PortFlag(args);
+  const size_t count = CountFlag(args, "count", "5");
 
   net::NetClient client;
   if (const Status connected = client.Connect(host, port); !connected.ok()) {
@@ -516,8 +572,7 @@ int CmdPing(const ArgMap& args) {
 // that the serve-side FragmentStat list carries over the wire.
 int CmdInfo(const ArgMap& args) {
   const std::string host = GetOr(args, "host", "127.0.0.1");
-  const auto port = static_cast<uint16_t>(
-      std::strtoul(Require(args, "port").c_str(), nullptr, 10));
+  const uint16_t port = PortFlag(args);
 
   net::NetClient client;
   if (const Status connected = client.Connect(host, port); !connected.ok()) {
